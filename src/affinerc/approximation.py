@@ -34,11 +34,11 @@ from .sequences import BoundedSequence
 from .systems import (
     LinearSystem,
     SASSystem,
+    _check_linear_input,
+    _check_sas_input,
+    _terminal_states,
     evaluate_filter,
     linear_state,
-    sas_state,
-    sas_terminal_states_batch,
-    state_bound,
 )
 
 __all__ = [
@@ -267,50 +267,32 @@ def monomial_features(states: np.ndarray, degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _terminal_state(system, z: BoundedSequence, tol: float) -> np.ndarray:
-    if isinstance(system, SASSystem):
-        return sas_state(system, z, tol=tol)
-    if isinstance(system, LinearSystem):
-        return linear_state(system, z, tol=tol)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
 def harvest_states(system, inputs, tol: float = 1e-9, readout_degree: int | None = None):
     """Design matrix of terminal states, one row per input.
 
-    SAS systems with equal-length input windows go through the batched recursion
-    (valid once the window dominates the washout length); anything else falls back to
-    the per-input certified evaluation.  With ``readout_degree`` set, rows are the
-    monomial features of the terminal state up to that degree.
+    Each input is cut to, or extended by its own rule to, the J+1 newest entries
+    that the certified tail below ``tol`` needs, and the whole batch goes through one
+    kernel call: the SAS recursion from the zero state, or the linear state sum.  A
+    row is therefore the series state of :func:`sas_state` / :func:`linear_state`,
+    exact to ``tol`` whatever the window lengths; linear batches use the J of their
+    largest input bound.  With ``readout_degree`` set, rows are the monomial features
+    of the terminal state up to that degree.
     """
     inputs = list(inputs)
     if not inputs:
         raise ValueError("need at least one input")
+    if not isinstance(system, (SASSystem, LinearSystem)):
+        raise TypeError(f"unsupported system type {type(system).__name__}")
     for i, z in enumerate(inputs):
         try:
             if isinstance(system, SASSystem):
-                if z.dim != 1:
-                    raise ValueError("state-affine systems take scalar inputs")
-                if np.max(np.abs(z.window)) > 1.0 + 1e-12:
-                    raise ValueError("input entry outside [-1, 1]")
-            elif isinstance(system, LinearSystem):
-                if z.dim != system.input_dim:
-                    raise ValueError("input dimension mismatch")
+                _check_sas_input(z)
+            else:
+                _check_linear_input(system, z)
         except ValueError as exc:
             raise ValueError(f"input {i} is not admissible: {exc}") from exc
 
-    if isinstance(system, SASSystem):
-        T = inputs[0].length
-        same = all(z.length == T for z in inputs)
-        converged = state_bound(system) * system.K1 ** T < tol if same else False
-        if same and converged:
-            Z = np.stack([z.window[:, 0] for z in inputs])
-            rows = sas_terminal_states_batch(system, Z)
-        else:
-            rows = np.stack([sas_state(system, z, tol=tol) for z in inputs])
-    else:
-        rows = np.stack([_terminal_state(system, z, tol) for z in inputs])
-
+    rows = _terminal_states(system, inputs, tol)
     if readout_degree is not None:
         rows = monomial_features(rows, readout_degree)
     return rows
@@ -366,11 +348,8 @@ class TrainedModel:
 
     def evaluate(self, z: BoundedSequence, tol: float | None = None) -> float:
         tol = self.tol if tol is None else tol
-        x = _terminal_state(self.system, z, tol)
-        if self.readout_degree is None:
-            return float(self.readout @ x)
-        feats = monomial_features(x[None, :], self.readout_degree)[0]
-        return float(self.readout @ feats)
+        row = harvest_states(self.system, [z], tol=tol, readout_degree=self.readout_degree)
+        return float(self.readout @ row[0])
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from .sequences import (
 from .systems import (
     LinearSystem,
     SASSystem,
+    _linear_state_bound,
     default_washout,
     esp_margin,
     evaluate_filter,
@@ -126,17 +127,6 @@ def _load_sequence(path: str) -> BoundedSequence:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _linear_state_bound(s: LinearSystem, input_bound: float) -> float:
-    """sum_i ||A^i c|| * M — exact finite sum when nilpotent, geometric otherwise."""
-    if s.nilpotent:
-        total, m = 0.0, np.array(s.c)
-        for _ in range(s.nilpotency_index):
-            total += spectral_norm(m)
-            m = s.A @ m
-        return input_bound * total
-    return input_bound * spectral_norm(s.c) / (1.0 - s.sigma)
 
 
 # ---------------------------------------------------------------------------------

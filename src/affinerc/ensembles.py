@@ -130,7 +130,8 @@ def _swap_sup(rows: list) -> float:
     for t in range(width):
         col = max(row[t] if t < len(row) else 0.0 for row in rows)
         time_first = max(time_first, col)
-    assert paths_first == time_first
+    if not paths_first == time_first:
+        raise RuntimeError(f"sup orders disagree: {paths_first!r} vs {time_first!r}")
     return paths_first
 
 
@@ -158,7 +159,9 @@ def linf_weighted_norm(ensemble: InputEnsemble, w: WeightingSequence) -> float:
         tail = float(np.linalg.norm(p.extension_value())) * w.weight(T)
         rows.append([float(v) for v in head] + [tail])
     value = _swap_sup(rows)
-    assert value == max(weighted_norm(p, w) for p in ensemble.paths)
+    direct = max(weighted_norm(p, w) for p in ensemble.paths)
+    if not value == direct:
+        raise RuntimeError(f"weighted sup {value!r} differs from weighted_norm {direct!r}")
     return value
 
 

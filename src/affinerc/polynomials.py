@@ -174,6 +174,8 @@ class MatrixPolynomial:
                 raise ValueError(
                     f"coefficient shape {c.shape} != ({self.rows}, {self.cols})"
                 )
+            if not np.all(np.isfinite(c)):
+                raise ValueError("coefficients must be finite")
             mats.append(c)
         while mats and not np.any(mats[-1]):
             mats.pop()
@@ -567,5 +569,5 @@ def scalar_poly_to_json(h: ScalarPolynomial) -> dict:
 
 
 def scalar_poly_from_json(doc: dict) -> ScalarPolynomial:
-    terms = {tuple(t["alpha"]): float(t["coeff"]) for t in doc["terms"]}
+    terms = [(tuple(t["alpha"]), float(t["coeff"])) for t in doc["terms"]]
     return ScalarPolynomial(arity=int(doc["arity"]), terms=terms)

@@ -151,11 +151,13 @@ class BoundedSequence:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError("window must be a non-empty (T, dim) array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("window entries must be finite")
         object.__setattr__(self, "window", arr)
         if self.extension not in EXTENSIONS:
             raise ValueError(f"unknown extension {self.extension!r}")
-        if self.bound < 0.0:
-            raise ValueError("bound must be >= 0")
+        if not (math.isfinite(self.bound) and self.bound >= 0.0):
+            raise ValueError("bound must be finite and >= 0")
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms > self.bound * (1.0 + 1e-12) + 1e-300):
             raise ValueError("window entry exceeds the declared bound")

@@ -14,12 +14,19 @@ Two system families are implemented:
   unless ``A`` is nilpotent, in which case the system has exact finite memory and the
   spectral constraint is waived.
 
-Each system offers two solution paths whose agreement is a core correctness check: the
-plain recursion from a caller-supplied initial state, and the contraction series
-``x_t = sum_{j>=0} (prod_{k=0}^{j-1} p(z_{t-k})) q(z_{t-j})`` truncated at a certified
-tail.  The truncated series is evaluated in nested (Horner) form
-``q_0 + P_0 (q_1 + P_1 (q_2 + ...))`` — algebraically identical to the partial sum but
-needing only matrix-vector work.
+Every evaluation path runs on one kernel per family.  ``_sas_scan`` steps
+``X <- p(z) X + q(z)`` along a (B, T) block of scalar inputs; ``_linear_sum``
+contracts the stack ``[A^J c, ..., c]`` against (B, J+1, d) input windows.  The
+contraction series ``x_t = sum_{j>=0} (prod_{k=0}^{j-1} p(z_{t-k})) q(z_{t-j})``
+truncated at J is exactly the recursion run from the zero state over the J+1 newest
+inputs, so the series at every slot, the state at t = 0 and the batched terminal
+states are all that scan over ``sliding_window_view`` windows, older entries coming
+from the sequence's extension rule.  J is the smallest count whose certified
+geometric tail is below ``tol`` (``_geometric_terms``, which also sets the washout).
+
+The plain recursion from a caller-supplied initial state remains the independent
+solution path: its agreement with the series past the washout is a core
+correctness check.
 """
 
 from __future__ import annotations
@@ -30,13 +37,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .polynomials import (
     MatrixPolynomial,
     NormCertificate,
     ScalarPolynomial,
     norm_certificate,
-    poly_eval,
     poly_from_json,
     poly_to_json,
     scalar_poly_eval,
@@ -237,6 +244,92 @@ def _nilpotency_of_matrix(A: np.ndarray, tol: float = 0.0) -> tuple[bool, int | 
 
 
 # ---------------------------------------------------------------------------------
+# shared kernels
+
+
+def _geometric_terms(scale: float, rate: float, tol: float) -> tuple[int, float]:
+    """Smallest n >= 0 with ``scale * rate**n < tol``, and that tail value.
+
+    ``rate`` lies in [0, 1); a zero ``scale`` needs no terms at all.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be > 0")
+    if scale < tol:
+        return 0, scale
+    # log-formula guess, then exact integer fix-up
+    n = max(0, int(math.ceil(math.log(tol / scale) / math.log(rate))))
+    while scale * rate**n >= tol:
+        n += 1
+    while n > 0 and scale * rate ** (n - 1) < tol:
+        n -= 1
+    return n, scale * rate**n
+
+
+def _newest(z: BoundedSequence, n: int) -> np.ndarray:
+    """The ``n`` newest entries oldest first, extended past the window by its rule."""
+    return z.values_newest_first(n)[::-1]
+
+
+def _sas_scan(s: SASSystem, Z: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
+    """Step ``X <- p(z) X + q(z)`` along the columns of the (B, T) input block ``Z``.
+
+    ``X`` holds one (N,) start state per row.  Returns the (B, N) terminal states
+    and, given ``out`` of shape (T, B, N), stores every state there.  Both
+    polynomials run in Horner form on the state side (``X @ A_i^T`` products, then
+    a separate q accumulator), so the working memory is O(B N) whatever T is.
+    """
+    N = s.N
+    pc = [c.T for c in reversed(s.p.coeffs or (np.zeros((N, N)),))]
+    qc = [c[:, 0] for c in reversed(s.q.coeffs or (np.zeros((N, 1)),))]
+    for t, zt in enumerate(Z.T[:, :, None]):
+        acc = X @ pc[0]
+        for c in pc[1:]:
+            acc *= zt
+            acc += X @ c
+        qacc = qc[0]
+        for c in qc[1:]:
+            qacc = qacc * zt + c
+        acc += qacc
+        X = acc
+        if out is not None:
+            out[t] = X
+    return X
+
+
+def _linear_powers(s: LinearSystem, J: int) -> np.ndarray:
+    """The (J+1, N, d) stack ``[A^J c, ..., A c, c]``, matching oldest-first windows."""
+    mats = [np.array(s.c)]
+    for _ in range(J):
+        mats.append(s.A @ mats[-1])
+    return np.stack(mats[::-1])
+
+
+def _linear_terms(s: LinearSystem, input_bound: float, tol: float) -> tuple[int, float]:
+    """Terms J of the state sum and its tail: exact for nilpotent systems, otherwise
+    the smallest J with ``M * sigma_max(c) * sigma**(J+1) / (1 - sigma) < tol``."""
+    if s.nilpotent:
+        return s.nilpotency_index - 1, 0.0
+    if tol is None or tol <= 0.0:
+        raise ValueError("tol must be > 0 for non-nilpotent systems")
+    scale = input_bound * spectral_norm(s.c) * s.sigma / (1.0 - s.sigma)
+    return _geometric_terms(scale, s.sigma, tol)
+
+
+def _linear_sum(s: LinearSystem, windows: np.ndarray, J: int) -> np.ndarray:
+    """``sum_i A^i c u_{-i}`` for each oldest-first (J+1, d) window of the (B, J+1, d)
+    block ``windows``, as one contraction; returns (B, N)."""
+    return np.einsum("kni,bki->bn", _linear_powers(s, J), windows)
+
+
+def _linear_state_bound(s: LinearSystem, input_bound: float) -> float:
+    """sum_i ||A^i c|| * M — exact finite sum when nilpotent, geometric otherwise."""
+    if s.nilpotent:
+        powers = _linear_powers(s, s.nilpotency_index - 1)[::-1]
+        return input_bound * sum(spectral_norm(m) for m in powers)
+    return input_bound * spectral_norm(s.c) / (1.0 - s.sigma)
+
+
+# ---------------------------------------------------------------------------------
 # SAS simulation
 
 
@@ -278,12 +371,9 @@ def sas_run_recursion(
             raise ValueError("x_init must have length N")
         if np.linalg.norm(x) > sb + 1.0:
             raise ValueError("x_init lies outside the sanity cap state_bound + 1")
-    T = z.length
-    states = np.empty((T, s.N))
-    for t in range(T):
-        zt = float(z.window[t, 0])
-        x = poly_eval(s.p, zt) @ x + poly_eval(s.q, zt)[:, 0]
-        states[t] = x
+    states = np.empty((z.length, 1, s.N))
+    _sas_scan(s, z.window.T, x[None, :], out=states)
+    states = states[:, 0]
     outputs = states @ s.W
     tail = 2.0 * sb * (1.0 - s.eps) ** washout
     return Trajectory(
@@ -294,98 +384,59 @@ def sas_run_recursion(
 
 def _series_terms(s: SASSystem, tol: float) -> tuple[int, float]:
     """Smallest J with K2 * K1**(J+1) / (1 - K1) < tol, and that tail value."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    K1, K2 = s.K1, s.K2
-
-    def tail(j: int) -> float:
-        return K2 * K1 ** (j + 1) / (1.0 - K1)
-
-    if K2 == 0.0 or K1 == 0.0:
-        return 0, 0.0
-    J = 0
-    if tail(0) >= tol:
-        # log-formula guess, then exact integer fix-up
-        J = max(0, int(math.ceil(math.log(tol * (1.0 - K1) / K2) / math.log(K1))) - 1)
-        while tail(J) >= tol:
-            J += 1
-        while J > 0 and tail(J - 1) < tol:
-            J -= 1
-    return J, tail(J)
-
-
-def _series_state(s: SASSystem, z: BoundedSequence, k0: int, J: int) -> np.ndarray:
-    """Truncated series at the window slot whose newest-first offset is ``k0``.
-
-    Nested evaluation of sum_{j<=J} (p(z_{-k0}) ... p(z_{-k0-j+1})) q(z_{-k0-j}).
-    """
-    zJ = float(z.entry(k0 + J)[0])
-    acc = poly_eval(s.q, zJ)[:, 0]
-    for j in range(J - 1, -1, -1):
-        zj = float(z.entry(k0 + j)[0])
-        acc = poly_eval(s.p, zj) @ acc + poly_eval(s.q, zj)[:, 0]
-    return acc
+    return _geometric_terms(s.K2 * s.K1 / (1.0 - s.K1), s.K1, tol)
 
 
 def sas_run_series(s: SASSystem, z: BoundedSequence, tol: float) -> Trajectory:
     """Evaluate the contraction series at every window slot, tail below ``tol``.
 
-    Entries older than the window are supplied by the sequence's extension rule, so
-    the result is the exact filter value up to the certified truncation tail.
+    Slot t runs the recursion from zero over the J+1 entries ending at t, all slots
+    at once; entries older than the window are supplied by the sequence's extension
+    rule, so the result is the exact filter value up to the certified truncation
+    tail.
     """
     _check_sas_input(z)
     J, tail = _series_terms(s, tol)
     T = z.length
-    states = np.empty((T, s.N))
-    for t in range(T):
-        states[t] = _series_state(s, z, T - 1 - t, J)
+    windows = sliding_window_view(_newest(z, T + J)[:, 0], J + 1)  # (T, J+1)
+    states = _sas_scan(s, windows, np.zeros((T, s.N)))
     outputs = states @ s.W
     return Trajectory(
         states=states, outputs=outputs, washout_len=0, truncation_tail_bound=tail
     )
 
 
+def sas_state(s: SASSystem, z: BoundedSequence, tol: float = 1e-9) -> np.ndarray:
+    """Series state at t = 0 (the readout-free value of the filter)."""
+    _check_sas_input(z)
+    return _terminal_states(s, [z], tol)[0]
+
+
 def sas_functional(s: SASSystem, z: BoundedSequence, tol: float = 1e-9) -> float:
     """W^T (series state at t = 0); absolute error at most ||W|| * tol."""
-    _check_sas_input(z)
-    J, _ = _series_terms(s, tol)
-    return float(s.W @ _series_state(s, z, 0, J))
+    return float(s.W @ sas_state(s, z, tol=tol))
 
 
 def sas_terminal_states_batch(s: SASSystem, Z: np.ndarray) -> np.ndarray:
     """Recursion from the zero state for a batch of scalar input windows.
 
     ``Z`` has shape (B, T), oldest first; returns the (B, N) terminal states.  The
-    initial-condition error of each row is at most K1**T * state_bound.  This is the
-    fast path used for harvesting training features.
+    initial-condition error of each row is at most K1**T * state_bound, so windows
+    of the J+1 newest entries give the series state of :func:`sas_state`.
     """
     Z = np.asarray(Z, dtype=float)
     if np.max(np.abs(Z)) > 1.0 + 1e-12:
         raise ValueError("input entry outside [-1, 1]")
-    B, T = Z.shape
-    pc = [np.array(c) for c in s.p.coeffs]
-    qc = [np.array(c[:, 0]) for c in s.q.coeffs]
-    X = np.zeros((B, s.N))
-    for t in range(T):
-        zt = Z[:, t][:, None]
-        if pc:
-            acc = X @ pc[-1].T
-            for cmat in reversed(pc[:-1]):
-                acc = acc * zt + X @ cmat.T
-        else:
-            acc = np.zeros_like(X)
-        if qc:
-            qacc = np.broadcast_to(qc[-1], (B, s.N)).copy()
-            for cvec in reversed(qc[:-1]):
-                qacc = qacc * zt + cvec
-        else:
-            qacc = np.zeros_like(X)
-        X = acc + qacc
-    return X
+    return _sas_scan(s, Z, np.zeros((Z.shape[0], s.N)))
 
 
 # ---------------------------------------------------------------------------------
 # linear simulation
+
+
+def _check_linear_input(s: LinearSystem, z: BoundedSequence) -> None:
+    if z.dim != s.input_dim:
+        raise ValueError(f"input dim {z.dim} does not match c with {s.input_dim} columns")
 
 
 def linear_run(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> Trajectory:
@@ -395,75 +446,41 @@ def linear_run(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> Trajec
     sum is truncated at the smallest J with
     ``M * sigma_max(c) * sigma**(J+1) / (1 - sigma) < tol``.
     """
-    if z.dim != s.input_dim:
-        raise ValueError(f"input dim {z.dim} does not match c with {s.input_dim} columns")
-    if s.nilpotent:
-        J = s.nilpotency_index - 1
-        tail = 0.0
-    else:
-        if tol is None or tol <= 0.0:
-            raise ValueError("tol must be > 0 for non-nilpotent systems")
-        sig_c = spectral_norm(s.c)
-        bound = z.bound * sig_c
-        if bound == 0.0 or s.sigma == 0.0:
-            J, tail = 0, 0.0
-        else:
-            J = 0
-            while bound * s.sigma ** (J + 1) / (1.0 - s.sigma) >= tol:
-                J += 1
-            tail = bound * s.sigma ** (J + 1) / (1.0 - s.sigma)
-    # A^i c, i = 0..J
-    mats = [np.array(s.c)]
-    for _ in range(J):
-        mats.append(s.A @ mats[-1])
-    T = z.length
-    states = np.empty((T, s.N))
-    for t in range(T):
-        k0 = T - 1 - t
-        x = np.zeros(s.N)
-        for i, m in enumerate(mats):
-            x += m @ z.entry(k0 + i)
-        states[t] = x
+    _check_linear_input(s, z)
+    J, tail = _linear_terms(s, z.bound, tol)
+    windows = sliding_window_view(_newest(z, z.length + J), J + 1, axis=0)
+    states = _linear_sum(s, windows.transpose(0, 2, 1), J)
     outputs = np.array([scalar_poly_eval(s.h, x) for x in states])
     return Trajectory(
         states=states, outputs=outputs, washout_len=0, truncation_tail_bound=tail
     )
 
 
-def linear_functional(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> float:
-    """h(state at t = 0)."""
-    traj = linear_run(s, z, tol=tol)
-    return float(traj.outputs[-1])
-
-
-def sas_state(s: SASSystem, z: BoundedSequence, tol: float = 1e-9) -> np.ndarray:
-    """Series state at t = 0 (the readout-free value of the filter)."""
-    _check_sas_input(z)
-    J, _ = _series_terms(s, tol)
-    return _series_state(s, z, 0, J)
-
-
 def linear_state(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> np.ndarray:
     """State sum_i A^i c z_{-i} at t = 0, exact for nilpotent systems."""
-    if z.dim != s.input_dim:
-        raise ValueError(f"input dim {z.dim} does not match c with {s.input_dim} columns")
-    if s.nilpotent:
-        J = s.nilpotency_index - 1
-    else:
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0 for non-nilpotent systems")
-        bound = z.bound * spectral_norm(s.c)
-        J = 0
-        if bound > 0.0 and s.sigma > 0.0:
-            while bound * s.sigma ** (J + 1) / (1.0 - s.sigma) >= tol:
-                J += 1
-    x = np.zeros(s.N)
-    m = np.array(s.c)
-    for i in range(J + 1):
-        if i > 0:
-            m = s.A @ m
-        x += m @ z.entry(i)
-    return x
+    _check_linear_input(s, z)
+    return _terminal_states(s, [z], tol)[0]
+
+
+def linear_functional(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> float:
+    """h(state at t = 0)."""
+    return scalar_poly_eval(s.h, linear_state(s, z, tol=tol))
+
+
+def _terminal_states(system, inputs: list, tol: float) -> np.ndarray:
+    """(B, N) series states at t = 0 of admissible inputs, in one kernel call.
+
+    Each input is cut to, or extended by its own rule to, the J+1 newest entries the
+    tail below ``tol`` needs, whatever its window length; ``sas_state`` and
+    ``linear_state`` are the one-input case.  A linear batch takes the J of its
+    largest input bound.
+    """
+    if isinstance(system, SASSystem):
+        J, _ = _series_terms(system, tol)
+        Z = np.stack([_newest(z, J + 1)[:, 0] for z in inputs])
+        return sas_terminal_states_batch(system, Z)
+    J, _ = _linear_terms(system, max(z.bound for z in inputs), tol)
+    return _linear_sum(system, np.stack([_newest(z, J + 1) for z in inputs]), J)
 
 
 def evaluate_filter(f, z: BoundedSequence, tol: float = 1e-9) -> float:
@@ -537,17 +554,7 @@ def esp_margin(system) -> float:
 
 def default_washout(s: SASSystem, tol: float) -> int:
     """Smallest T with (1 - eps)**T * 2 * state_bound < tol."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    sb = state_bound(s)
-    if 2.0 * sb < tol:
-        return 0
-    T = max(0, int(math.ceil(math.log(tol / (2.0 * sb)) / math.log(1.0 - s.eps))))
-    while 2.0 * sb * (1.0 - s.eps) ** T >= tol:
-        T += 1
-    while T > 0 and 2.0 * sb * (1.0 - s.eps) ** (T - 1) < tol:
-        T -= 1
-    return T
+    return _geometric_terms(2.0 * state_bound(s), 1.0 - s.eps, tol)[0]
 
 
 # ---------------------------------------------------------------------------------

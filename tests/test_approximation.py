@@ -139,6 +139,70 @@ def test_unequal_windows_fall_back_to_series():
         np.testing.assert_allclose(X[i], sas_state(s, z, tol=1e-10), atol=1e-14)
 
 
+def _assert_rows_equal_states(system, inputs, state_fn, tol):
+    X = harvest_states(system, inputs, tol=tol)
+    for i, z in enumerate(inputs):
+        np.testing.assert_allclose(X[i], state_fn(system, z, tol=tol), rtol=0, atol=1e-14)
+
+
+def test_harvest_rows_equal_states_for_mixed_window_lengths():
+    from affinerc import LinearSystem, ScalarPolynomial, linear_state, sas_state
+
+    rng = RNG(21)
+    inputs = [BoundedSequence(rng.uniform(-1, 1, size=(T, 1)), bound=1.0)
+              for T in (1, 7, 45, 260, 900)]
+    _assert_rows_equal_states(small_sas(seed=8), inputs, sas_state, 1e-10)
+    A = rng.standard_normal((3, 3))
+    A *= 0.8 / np.linalg.norm(A, 2)
+    lin = LinearSystem.create(A, rng.standard_normal((3, 1)),
+                              ScalarPolynomial.linear_form([1.0, -1.0, 0.5]), eps=0.1)
+    _assert_rows_equal_states(lin, inputs, linear_state, 1e-10)
+
+
+def test_harvest_rows_equal_states_for_short_repeated_windows():
+    from affinerc import LinearSystem, ScalarPolynomial, linear_state, sas_state
+
+    rng = RNG(22)
+    s = small_sas(seed=9)
+    inputs = [BoundedSequence(rng.uniform(-1, 1, size=(T, 1)), bound=1.0,
+                              extension="repeat_last_oldest") for T in (1, 2, 5, 12)]
+    _assert_rows_equal_states(s, inputs, sas_state, 1e-9)
+    # a constant history is one entry repeated: its row is the fixed point
+    const = [BoundedSequence([[0.3]], bound=1.0, extension="repeat_last_oldest"),
+             BoundedSequence([[0.3]] * 40, bound=1.0)]
+    X = harvest_states(s, const, tol=1e-12)
+    np.testing.assert_allclose(X[0], sas_state(s, const[1], tol=1e-12), atol=1e-10)
+    lin = LinearSystem.create(np.diag([0.5, -0.7]), np.ones((2, 2)),
+                              ScalarPolynomial.coordinate(2, 1), eps=0.1)
+    pairs = [BoundedSequence(rng.uniform(-0.7, 0.7, size=(T, 2)), bound=1.0,
+                             extension="repeat_last_oldest") for T in (1, 3, 8)]
+    _assert_rows_equal_states(lin, pairs, linear_state, 1e-9)
+
+
+def test_harvest_rows_equal_states_for_slow_forgetting():
+    from affinerc import sas_state
+
+    rng = RNG(23)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    G = rng.standard_normal((3, 3))
+    s = SASSystem.create(
+        MatrixPolynomial.from_coeffs([0.88 * Q, 0.03 * G / np.linalg.norm(G, 2)]),
+        MatrixPolynomial.from_coeffs([[[0.5], [-0.2], [0.1]], [[0.1], [0.3], [0.0]]]),
+        rng.standard_normal(3),
+        eps=0.05,
+    )
+    assert 0.88 <= s.K1 < 0.95  # J runs to a few hundred terms at tol 1e-10
+    inputs = [BoundedSequence(rng.uniform(-1, 1, size=(T, 1)), bound=1.0,
+                              extension=ext)
+              for T, ext in ((30, "zero"), (150, "repeat_last_oldest"), (600, "zero"))]
+    _assert_rows_equal_states(s, inputs, sas_state, 1e-10)
+    model = TrainedModel(system=s, readout=s.W, readout_degree=None, lam_reg=0.0,
+                         train_error=0.0, test_error=0.0, tol=1e-10)
+    for z in inputs:
+        assert model.evaluate(z) == pytest.approx(sas_functional(s, z, tol=1e-10),
+                                                  abs=1e-13)
+
+
 def test_inadmissible_input_names_its_index():
     s = small_sas(seed=7)
     good = generate_uniform_inputs(2, window=30, seed=4)

@@ -177,6 +177,23 @@ def test_certify_garbage_json(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+def test_certify_nan_coefficient_exits_2(tmp_path, capsys):
+    doc = {"rows": 1, "cols": 1, "coeffs": [[0.5], [float("nan")]]}
+    poly_path = write_json(tmp_path / "p.json", doc)  # json writes the NaN literal
+    assert "NaN" in (tmp_path / "p.json").read_text()
+    assert main(["certify", poly_path]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_nan_input_exits_2(tmp_path, capsys):
+    sys_path = write_json(tmp_path / "sys.json", system_to_json(small_sas(seed=4)))
+    in_path = tmp_path / "z.csv"
+    in_path.write_text("dim,bound,extension\n1,1.0,zero\n0.1\nnan\n0.2\n")
+    rc = main(["simulate", sys_path, str(in_path), "-o", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------------
 # compose
 

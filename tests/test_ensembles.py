@@ -148,6 +148,15 @@ def test_swap_sups_against_double_loop():
     assert linf_weighted_norm(e, w) == order1
 
 
+def test_swap_sup_mismatch_raises():
+    # a NaN leading a row is skipped by one reduction order but not by the other
+    from affinerc.ensembles import _swap_sup
+
+    assert _swap_sup([[1.0, 0.25], [0.5]]) == 1.0
+    with pytest.raises(RuntimeError, match="sup orders disagree"):
+        _swap_sup([[np.nan, 1.0], [0.5]])
+
+
 def test_linf_norm_matches_plain_max():
     e = generate_ensemble({"kind": "clipped_ar1", "phi": 0.6, "sigma": 0.5, "bound": 1.0},
                           10, 40, seed=6)

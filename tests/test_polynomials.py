@@ -1,5 +1,6 @@
 """Unit tests for matrix polynomials, readout polynomials and norm certificates."""
 
+import json
 import unittest
 
 import numpy as np
@@ -417,6 +418,22 @@ class TestSerialization(unittest.TestCase):
         h = ScalarPolynomial.from_terms(2, {(2, 0): 0.5, (0, 1): -2.0})
         back = scalar_poly_from_json(scalar_poly_to_json(h))
         self.assertEqual(back.terms, h.terms)
+
+    def test_duplicate_json_terms_sum(self):
+        doc = {"arity": 2, "terms": [{"alpha": [1, 0], "coeff": 2.0},
+                                     {"alpha": [0, 1], "coeff": 1.0},
+                                     {"alpha": [1, 0], "coeff": 3.0}]}
+        h = scalar_poly_from_json(json.loads(json.dumps(doc)))
+        self.assertEqual(h.as_dict(), {(1, 0): 5.0, (0, 1): 1.0})
+        self.assertEqual(scalar_poly_from_json(scalar_poly_to_json(h)).terms, h.terms)
+
+    def test_non_finite_coefficients_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with self.assertRaisesRegex(ValueError, "finite"):
+                MatrixPolynomial.from_coeffs([np.eye(2), [[0.0, bad], [0.0, 0.0]]])
+        doc = {"rows": 1, "cols": 1, "coeffs": [[0.5], [float("nan")]]}
+        with self.assertRaisesRegex(ValueError, "finite"):
+            poly_from_json(doc)
 
 
 if __name__ == "__main__":

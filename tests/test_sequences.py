@@ -93,6 +93,14 @@ def test_window_entry_must_respect_bound():
         BoundedSequence(np.array([[2.0]]), bound=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_window_and_bound_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BoundedSequence([0.1, bad, 0.2], bound=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        BoundedSequence([0.1, 0.2], bound=bad)
+
+
 # ---------------------------------------------------------------------------------
 # weighted_distance
 
