@@ -28,6 +28,7 @@ from . import __version__
 from .algebra import CompositionError, linear_combine, sas_add, sas_multiply
 from .approximation import (
     FamilySpec,
+    _scaled_poly,
     approximate,
     generate_uniform_inputs,
     sample_candidate,
@@ -58,7 +59,6 @@ from .polynomials import (
     poly_kron,
     poly_mul,
     scalar_poly_from_json,
-    spectral_norm,
 )
 from .sequences import (
     BoundedSequence,
@@ -384,14 +384,15 @@ def cmd_transfer(args) -> int:
         target = _filter_from_config(cfg["target"], "target")
         approx = _filter_from_config(cfg["approx"], "approx")
         det_bound = cfg.get("deterministic_bound")
+        det_bound = None if det_bound is None else float(det_bound)
         tol = float(cfg.get("tol", 1e-9))
     except KeyError as exc:
         raise CliError(f"cannot parse config {args.config}: missing {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"cannot parse config {args.config}: {exc}") from exc
     ensemble = generate_ensemble(desc, n_paths=n_paths, window=window, seed=seed)
     report = transfer_check(
-        target, approx, ensemble,
-        deterministic_bound=None if det_bound is None else float(det_bound),
-        tol=tol,
+        target, approx, ensemble, deterministic_bound=det_bound, tol=tol,
     )
     doc = {
         "stochastic_sup_err": report.stochastic_sup_err,
@@ -428,15 +429,9 @@ def _random_bounded(rng, window: int, dim: int = 1, bound: float = 1.0,
 def _random_sas(rng, N: int, deg: int = 2, eps: float = 0.1,
                 scale: float = 0.8) -> SASSystem:
     target = scale * (1.0 - eps)
-    pc = [rng.standard_normal((N, N)) for _ in range(deg + 1)]
-    tot = sum(spectral_norm(c) for c in pc)
-    pc = [c * (target / tot) for c in pc]
-    qc = [rng.standard_normal((N, 1)) for _ in range(deg + 1)]
-    tot = sum(spectral_norm(c) for c in qc)
-    qc = [c * (target / tot) for c in qc]
-    return SASSystem.create(
-        p=MatrixPolynomial.from_coeffs(pc, rows=N, cols=N),
-        q=MatrixPolynomial.from_coeffs(qc, rows=N, cols=1),
+    return SASSystem.create(  # arguments draw from rng in order: p, q, W
+        p=_scaled_poly(rng, N, N, deg, target),
+        q=_scaled_poly(rng, N, 1, deg, target),
         W=rng.standard_normal(N),
         eps=eps,
         grid_step=0.05,

@@ -5,21 +5,28 @@ with m x n real matrix coefficients.  All state-affine structure in this package
 built from these through evaluation, products, direct sums and Kronecker products.
 
 ``norm_certificate`` produces sound two-sided estimates of M_p = sup_{|z|<=1} ||p(z)||_2:
-a grid lower bound and an upper bound combining the grid with a Mean-Value-Inequality
-slack, capped by the coefficient-norm sum B_p = sum_i ||A_i||_2 (a certified upper bound
-on [-1, 1] in its own right).  The slack needs a bound on sup ||p'||, which is obtained
-by the same grid device applied down the (finite) derivative tower, each level capped by
-its own coefficient-norm sum.
+a grid lower bound (up to the rounding of its norms) and an upper bound combining the
+grid with a Mean-Value-Inequality slack, capped by the coefficient-norm sum
+B_p = sum_i ||A_i||_2 (a certified upper bound on [-1, 1] in its own right).  The
+slack needs a bound on sup ||p'||, which is obtained by the same grid device applied
+down the (finite) derivative tower, each level capped by its own coefficient-norm sum.
 
-Spectral norms are computed by power iteration on A^T A with a deterministic start
-vector, tolerance 1e-12 and an iteration cap of 10 000, so certificates are reproducible
-run to run.
+The whole certificate is one pass: the tower p, p', ..., p^(deg) is stacked into one
+polynomial, evaluated by Horner's scheme on blocks of grid points with one batched
+spectral-norm call per block, its coefficients take one more call, and the level
+bounds are folded from the constant bottom level up.  Every spectral norm is LAPACK's largest singular value rounded up by a
+relative factor derived from LAPACK's error bound (``_SVD_REL_ERR``, below 1e-12 up
+to 500 x 500), and coefficient-norm sums are rounded toward +inf, so each norm and
+each sum is an upper bound under floating point; 1 x 1 matrices get their exact
+norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,105 +55,51 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------------
-# spectral norm by power iteration
+# spectral norms by LAPACK's SVD, rounded up
+
+# Per unit of max(m, n): LAPACK's SVD is backward stable, so the computed top singular
+# value is the exact one of A + E with ||E||_2 <= p(m, n) * u * ||A||_2 (u = 2**-53,
+# p "a modestly growing function" of the shape; LAPACK Users' Guide, "Error Bounds
+# for the Singular Value Decomposition").  Weyl's inequality then gives
+# sigma_1 <= s / (1 - p u) for the computed s.  Taking p(m, n) = 8 max(m, n) -- the
+# underestimate against 40-digit mpmath stays below 8 u up to 32 x 32, even for
+# near-tied top pairs -- the factor 1 + 2 p u covers both 1 / (1 - p u) and the
+# rounding of the product s * (1 + 2 p u).
+_SVD_REL_ERR = 8.0 * np.finfo(float).eps
 
 
-def _power_iteration(ata: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
-    """Iterate v <- A^T A v; return (largest-eigenvalue estimate, converged)."""
-    lam = 0.0
-    for _ in range(max_iter):
-        w = ata @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return None, False  # start vector lies in the null space
-        v = w / nw
-        lam_new = float(v @ (ata @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, True
-        lam = lam_new
-    return lam, True  # hit the cap; best available estimate
+def _spectral_norms(mats) -> np.ndarray:
+    """Certified upper bounds of ``||A||_2`` for a (..., m, n) stack of matrices.
 
-
-def spectral_norm(a: np.ndarray, tol: float = 1e-15, max_iter: int = 100000) -> float:
-    """Largest singular value of ``a`` via power iteration on ``a.T @ a``.
-
-    The start vector is the normalized all-ones vector; if that collapses into the
-    null space (possible for hand-built sign-symmetric matrices) two further
-    deterministic starts are tried, so results stay reproducible.  The stopping
-    tolerance is deliberately near float resolution: the change-based rule under-
-    estimates the remaining error by 1/(1 - (s2/s1)^4), so a loose tolerance leaks
-    visible error exactly when the top two singular values nearly tie (as happens
-    for every direct sum of similarly-scaled blocks).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    ata = a.T @ a
-    n = ata.shape[0]
-    starts = [np.ones(n) / math.sqrt(n), None, None]
-
-    def _fallbacks():
-        v = np.arange(1.0, n + 1.0)
-        yield v / np.linalg.norm(v)
-        # a column of (A^T A)^2 cannot lie in the null space of a PSD A^T A
-        for j in range(n):
-            c = ata @ ata[:, j]
-            nc = np.linalg.norm(c)
-            if nc > 0.0:
-                yield c / nc
-                return
-
-    lam, _ = _power_iteration(ata, starts[0], tol, max_iter)
-    if lam is None:
-        for v in _fallbacks():
-            lam, _ = _power_iteration(ata, v, tol, max_iter)
-            if lam is not None:
-                break
-    if lam is None:
-        return 0.0
-    return math.sqrt(max(lam, 0.0))
-
-
-def _spectral_norms(mats: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
-    """Vectorized power iteration for a stack of matrices (G, m, n).
-
-    Same iteration, start vector and stopping rule as :func:`spectral_norm`, run for
-    all G matrices simultaneously with a per-matrix active mask; degenerate entries
-    fall back to the scalar routine.
+    The top singular value from one batched LAPACK SVD, multiplied by
+    ``1 + _SVD_REL_ERR * max(m, n)``; 1 x 1 matrices get their exact norm ``|a|``.
     """
     mats = np.asarray(mats, dtype=float)
-    G, _, n = mats.shape
-    ata = np.einsum("gji,gjk->gik", mats, mats)
-    v = np.full((G, n), 1.0 / math.sqrt(n))
-    lam = np.zeros(G)
-    active = np.ones(G, dtype=bool)
-    collapsed = np.zeros(G, dtype=bool)
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        w = np.einsum("gik,gk->gi", ata[active], v[active])
-        nw = np.linalg.norm(w, axis=1)
-        zero = nw == 0.0
-        idx = np.flatnonzero(active)
-        if np.any(zero):
-            collapsed[idx[zero]] = True
-            active[idx[zero]] = False
-            if not np.any(active):
-                break
-            keep = ~zero
-            idx = idx[keep]
-            w = w[keep]
-            nw = nw[keep]
-        vi = w / nw[:, None]
-        lam_new = np.einsum("gi,gik,gk->g", vi, ata[idx], vi)
-        done = np.abs(lam_new - lam[idx]) <= tol * np.maximum(1.0, np.abs(lam_new))
-        v[idx] = vi
-        lam[idx] = lam_new
-        active[idx[done]] = False
-    out = np.sqrt(np.maximum(lam, 0.0))
-    for g in np.flatnonzero(collapsed):
-        out[g] = spectral_norm(mats[g], tol=tol, max_iter=max_iter)
-    return out
+    m, n = mats.shape[-2:]
+    if m == 0 or n == 0:
+        return np.zeros(mats.shape[:-2])
+    if m == n == 1:
+        return np.abs(mats[..., 0, 0])
+    return np.linalg.svd(mats, compute_uv=False)[..., 0] * (1.0 + _SVD_REL_ERR * max(m, n))
+
+
+def _upward_sum(values) -> float:
+    """The float sum of ``values`` rounded toward +inf, so a sum of upper bounds stays
+    one: the correctly rounded sum, moved up one ulp unless it is exact."""
+    total = math.fsum(values)
+    if Fraction(total) < sum(map(Fraction, values)):
+        total = math.nextafter(total, math.inf)
+    return total
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Certified upper bound of the largest singular value of the matrix ``a``.
+
+    The one-matrix case of :func:`_spectral_norms`: LAPACK's value rounded up by the
+    relative factor ``1 + _SVD_REL_ERR * max(m, n)`` (below 1e-12 for every shape up
+    to 500 x 500); exact for 1 x 1 matrices and the zero matrix.
+    """
+    return float(_spectral_norms(np.asarray(a, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------------
@@ -214,13 +167,16 @@ class MatrixPolynomial:
         return poly_eval(self, z)
 
 
-def poly_eval(p: MatrixPolynomial, z: float) -> np.ndarray:
-    """Evaluate by Horner's scheme."""
-    if not p.coeffs:
-        return np.zeros((p.rows, p.cols))
-    acc = np.array(p.coeffs[-1])
+def poly_eval(p: MatrixPolynomial, z) -> np.ndarray:
+    """Evaluate by Horner's scheme at a point (an (m, n) matrix) or at every point
+    of an array ``z`` at once (shape ``z.shape + (m, n)``)."""
+    z = np.asarray(z, dtype=float)[..., None, None]
+    acc = np.zeros(z.shape[:-2] + (p.rows, p.cols))
+    if p.coeffs:
+        acc[...] = p.coeffs[-1]
     for c in reversed(p.coeffs[:-1]):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 
@@ -299,8 +255,10 @@ class NormCertificate:
     """Two-sided bounds on M_p = sup_{|z|<=1} ||p(z)||_2.
 
     B_p        -- sum of coefficient spectral norms; certified upper bound on I.
-    M_p_lower  -- grid maximum of ||p(z)||_2 (a true lower bound).
-    M_p_upper  -- grid maximum plus Mean-Value-Inequality slack, capped by B_p.
+    M_p_lower  -- grid maximum of ||p(z)||_2, each norm rounded up by the SVD factor
+                  (``_SVD_REL_ERR``), so a lower bound of M_p up to that factor.
+    M_p_upper  -- grid maximum plus Mean-Value-Inequality slack, capped by B_p but
+                  never below M_p_lower; a certified upper bound of M_p.
     M_pprime   -- sqrt(rows) * certified upper bound of sup ||p'(z)||_2.
     grid_step  -- the actual grid spacing used.
     """
@@ -312,62 +270,50 @@ class NormCertificate:
     grid_step: float
 
 
-def _coeff_norm_sum(p: MatrixPolynomial) -> float:
-    return float(sum(spectral_norm(c) for c in p.coeffs))
-
-
-def _grid_max(p: MatrixPolynomial, grid: np.ndarray) -> float:
-    if not p.coeffs:
-        return 0.0
-    # Horner across the whole grid at once, then batched spectral norms
-    acc = np.broadcast_to(p.coeffs[-1], (grid.size, p.rows, p.cols)).copy()
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * grid[:, None, None] + c
-    return float(np.max(_spectral_norms(acc)))
-
-
-def _sup_upper(p: MatrixPolynomial, grid: np.ndarray, step: float) -> float:
-    """Certified upper bound of sup_{|z|<=1} ||p(z)||_2 (grid + slack, capped by B)."""
-    if not p.coeffs:
-        return 0.0
-    b = _coeff_norm_sum(p)
-    lower = _grid_max(p, grid)
-    if p.degree <= 0:
-        return min(lower, b)  # constant in z: the grid value is exact
-    slack = 0.5 * step * math.sqrt(p.rows * p.cols) * _sup_upper(
-        poly_derivative(p), grid, step
-    )
-    # the grid max and the coefficient-norm sum round in different orders, so the
-    # cap can dip a ulp below the realized maximum; never report less than seen
-    return max(min(lower + slack, b), lower)
+_GRID_BLOCK = 256
 
 
 def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertificate:
     """Certify sup_{|z|<=1} ||p(z)||_2 from a grid plus Lipschitz slack.
 
     ``grid_step`` must lie in (0, 1]; the grid always includes both endpoints and the
-    realized spacing (recorded in the certificate) never exceeds the request.
+    realized spacing (recorded in the certificate) never exceeds the request.  The
+    tower p, p', ..., p^(deg) is stacked into one (L m) x n polynomial, so each Horner
+    sweep evaluates every level on a block of grid points.  Level k is bounded by
+    ``u_k = max(min(g_k + step/2 * sqrt(m n) * u_{k+1}, b_k), g_k)`` from its grid
+    maximum g_k and coefficient-norm sum b_k (summed toward +inf), bottom (constant)
+    level first.  The ``max`` keeps the bound from dipping below the grid maximum,
+    whose Horner values round differently from b_k.
     """
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
     npts = int(math.ceil(2.0 / grid_step)) + 1
     grid = np.linspace(-1.0, 1.0, npts)
     step = 2.0 / (npts - 1)
+    if not p.coeffs:
+        return NormCertificate(B_p=0.0, M_p_lower=0.0, M_p_upper=0.0, M_pprime=0.0,
+                               grid_step=step)
 
-    b = _coeff_norm_sum(p)
-    lower = _grid_max(p, grid)
-    deriv = poly_derivative(p)
-    d_upper = _sup_upper(deriv, grid, step)
-    if p.degree <= 0:
-        upper = lower
-    else:
-        upper = min(lower + 0.5 * step * math.sqrt(p.rows * p.cols) * d_upper, b)
-        upper = max(upper, lower)  # see _sup_upper: the B cap can round below the grid max
+    levels = [p]
+    for _ in range(p.degree):
+        levels.append(poly_derivative(levels[-1]))
+    tower = functools.reduce(poly_vstack, levels)
+    shape = (-1, len(levels), p.rows, p.cols)
+    # blocks of grid points keep the evaluated tower small: held whole it is a
+    # (G, L m, n) array, 9 MB for m = n = 12, degree 3 and step 1e-3
+    g = np.max([_spectral_norms(poly_eval(tower, zs).reshape(shape)).max(axis=0)
+                for zs in np.array_split(grid, -(-npts // _GRID_BLOCK))], axis=0).tolist()
+    coeff_norms = _spectral_norms(np.reshape(tower.coeffs, shape))
+    b = [_upward_sum(level) for level in coeff_norms.T.tolist()]
+    slack = 0.5 * step * math.sqrt(p.rows * p.cols)
+    u = [0.0] * (len(levels) + 1)
+    for k in reversed(range(len(levels))):
+        u[k] = max(min(g[k] + slack * u[k + 1], b[k]), g[k])
     return NormCertificate(
-        B_p=b,
-        M_p_lower=lower,
-        M_p_upper=upper,
-        M_pprime=math.sqrt(p.rows) * d_upper,
+        B_p=b[0],
+        M_p_lower=g[0],
+        M_p_upper=u[0],
+        M_pprime=math.sqrt(p.rows) * u[1],
         grid_step=step,
     )
 
@@ -455,6 +401,8 @@ class ScalarPolynomial:
             if any(e < 0 for e in alpha):
                 raise ValueError("exponents must be >= 0")
             coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError("coefficients must be finite")
             if coeff != 0.0:
                 canon[alpha] = canon.get(alpha, 0.0) + coeff
         canon = {a: c for a, c in canon.items() if c != 0.0}

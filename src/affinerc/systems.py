@@ -43,6 +43,7 @@ from .polynomials import (
     MatrixPolynomial,
     NormCertificate,
     ScalarPolynomial,
+    _spectral_norms,
     norm_certificate,
     poly_from_json,
     poly_to_json,
@@ -138,9 +139,7 @@ class SASSystem:
             raise ValueError("p must be square")
         if q.rows != p.rows or q.cols != 1:
             raise ValueError("q must be N x 1 with N matching p")
-        W = np.asarray(W, dtype=float).ravel()
-        if W.size != p.rows:
-            raise ValueError("readout W must have length N")
+        W = _readout_vector(W, p.rows)
         if not (0.0 < eps < 1.0):
             raise ValueError("margin eps must lie in (0, 1)")
         p_cert = norm_certificate(p, grid_step=grid_step)
@@ -167,13 +166,19 @@ class SASSystem:
         return self.q_cert.M_p_upper
 
     def with_readout(self, W) -> "SASSystem":
-        W = np.asarray(W, dtype=float).ravel()
-        if W.size != self.N:
-            raise ValueError("readout W must have length N")
         return SASSystem(
-            p=self.p, q=self.q, W=W, eps=self.eps,
+            p=self.p, q=self.q, W=_readout_vector(W, self.N), eps=self.eps,
             p_cert=self.p_cert, q_cert=self.q_cert,
         )
+
+
+def _readout_vector(W, N: int) -> np.ndarray:
+    W = np.asarray(W, dtype=float).ravel()
+    if W.size != N:
+        raise ValueError("readout W must have length N")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("readout W must be finite")
+    return W
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,8 @@ class LinearSystem:
             c = c[:, None]
         if c.shape[0] != N:
             raise ValueError("c must have N rows")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(c))):
+            raise ValueError("A and c must be finite")
         if h.arity != N:
             raise ValueError("readout arity must equal the state dimension")
         if not (0.0 < eps < 1.0):
@@ -325,7 +332,7 @@ def _linear_state_bound(s: LinearSystem, input_bound: float) -> float:
     """sum_i ||A^i c|| * M — exact finite sum when nilpotent, geometric otherwise."""
     if s.nilpotent:
         powers = _linear_powers(s, s.nilpotency_index - 1)[::-1]
-        return input_bound * sum(spectral_norm(m) for m in powers)
+        return input_bound * float(_spectral_norms(powers).sum())
     return input_bound * spectral_norm(s.c) / (1.0 - s.sigma)
 
 
@@ -333,11 +340,17 @@ def _linear_state_bound(s: LinearSystem, input_bound: float) -> float:
 # SAS simulation
 
 
+def _check_unit_interval(Z: np.ndarray) -> None:
+    """Reject any input entry outside I = [-1, 1] (NaN included): the certificates
+    hold on I only."""
+    if not np.all(np.abs(Z) <= 1.0):
+        raise ValueError("input entry outside [-1, 1]")
+
+
 def _check_sas_input(z: BoundedSequence) -> None:
     if z.dim != 1:
         raise ValueError("state-affine systems take scalar inputs")
-    if np.max(np.abs(z.window)) > 1.0 + 1e-12:
-        raise ValueError("input entry outside [-1, 1]")
+    _check_unit_interval(z.window)
 
 
 def state_bound(s: SASSystem) -> float:
@@ -425,8 +438,7 @@ def sas_terminal_states_batch(s: SASSystem, Z: np.ndarray) -> np.ndarray:
     of the J+1 newest entries give the series state of :func:`sas_state`.
     """
     Z = np.asarray(Z, dtype=float)
-    if np.max(np.abs(Z)) > 1.0 + 1e-12:
-        raise ValueError("input entry outside [-1, 1]")
+    _check_unit_interval(Z)
     return _sas_scan(s, Z, np.zeros((Z.shape[0], s.N)))
 
 

@@ -194,6 +194,16 @@ def test_simulate_nan_input_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_simulate_nan_readout_exits_2(tmp_path, capsys):
+    doc = system_to_json(small_sas(seed=4))
+    doc["W"][0] = float("nan")
+    sys_path = write_json(tmp_path / "sys.json", doc)
+    in_path, _ = write_input(tmp_path / "z.csv", 16)
+    rc = main(["simulate", sys_path, in_path, "-o", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------------
 # compose
 
@@ -387,6 +397,17 @@ def test_transfer_missing_key(tmp_path, capsys):
     cfg_path = write_json(tmp_path / "cfg.json", {"target": "x.json"})
     assert main(["transfer", cfg_path]) == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n_paths", "many"),
+                                       ("deterministic_bound", "tight"),
+                                       ("window", None)])
+def test_transfer_bad_config_value_exits_2(tmp_path, capsys, key, value):
+    s = system_to_json(small_sas(seed=13))
+    cfg = {"target": s, "approx": s, "ensemble": {"kind": "iid_uniform", "bound": 1.0},
+           "n_paths": 4, "window": 16, key: value}
+    assert main(["transfer", write_json(tmp_path / "cfg.json", cfg)]) == 2
+    assert "cannot parse config" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------------

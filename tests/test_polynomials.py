@@ -4,8 +4,10 @@ import json
 import unittest
 
 import numpy as np
+import pytest
 
 from affinerc import (
+    LinearSystem,
     MatrixPolynomial,
     ScalarPolynomial,
     check_conditions,
@@ -19,6 +21,7 @@ from affinerc import (
     poly_mul,
     poly_to_json,
     poly_vstack,
+    SASSystem,
     scalar_poly_eval,
     scalar_poly_from_json,
     scalar_poly_to_json,
@@ -182,7 +185,7 @@ class TestSpectralNorm(unittest.TestCase):
         self.assertEqual(spectral_norm(np.zeros((4, 3))), 0.0)
 
     def test_start_vector_in_null_space(self):
-        # the all-ones start collapses here; the deterministic fallback must save it
+        # sign-symmetric: the all-ones vector lies in the null space of a^T a
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
         self.assertAlmostEqual(spectral_norm(a), np.linalg.norm(a, 2), places=10)
 
@@ -400,6 +403,14 @@ class TestScalarPolynomials(unittest.TestCase):
         wide = h.embed(5, offset=2)
         self.assertAlmostEqual(wide((9.0, 9.0, 0.5, 0.25, 9.0)), 2.0 * 0.5 - 0.25, places=15)
 
+    def test_non_finite_coefficient_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with self.assertRaisesRegex(ValueError, "finite"):
+                ScalarPolynomial.from_terms(2, {(1, 0): 1.0, (0, 1): bad})
+        doc = {"arity": 1, "terms": [{"alpha": [1], "coeff": float("nan")}]}
+        with self.assertRaisesRegex(ValueError, "finite"):
+            scalar_poly_from_json(json.loads(json.dumps(doc)))
+
     def test_zero_terms_dropped(self):
         h = ScalarPolynomial.from_terms(2, {(1, 0): 0.0, (0, 1): 1.0})
         self.assertEqual(len(h.terms), 1)
@@ -435,6 +446,59 @@ class TestSerialization(unittest.TestCase):
         with self.assertRaisesRegex(ValueError, "finite"):
             poly_from_json(doc)
 
+
+def _near_tied(rng, rows, cols):
+    """A random matrix whose top two singular values differ by 1e-9 to 1e-3 relative."""
+    k = min(rows, cols)
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :k]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :k]
+    s = np.sort(rng.uniform(0.1, 1.0, size=k))[::-1]
+    if k > 1:
+        s[1] = s[0] * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
+    return (u * s) @ v.T
+
+
+def test_certified_bounds_are_sound_against_mpmath():
+    """Every documented upper bound is at least its 30-digit value, on near-tied top
+    singular pairs, where an iterative estimate converges slowest."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def sigma1(terms, z=1.0):
+        """Largest singular value of sum_i z**i * a_i, in 30-digit arithmetic."""
+        acc = mpmath.zeros(*terms[0][1].shape)
+        for i, a in terms:
+            acc += mpmath.mpf(z) ** i * mpmath.matrix(a.tolist())
+        return max(mpmath.svd_r(acc, compute_uv=False))
+
+    rng = np.random.default_rng(70)
+    with mpmath.workdps(30):
+        for _ in range(40):
+            n, rows, cols = (int(k) for k in rng.integers(1, 9, size=3))
+            p_coeffs = [_near_tied(rng, n, n) for _ in range(3)]
+            q_coeffs = [rng.standard_normal((n, 1)) for _ in range(2)]
+            for a in p_coeffs + [_near_tied(rng, rows, cols)]:
+                t = sigma1([(0, a)])
+                assert t <= spectral_norm(a) <= t * (1 + 1e-12)
+
+            cert = norm_certificate(MatrixPolynomial.from_coeffs(p_coeffs), grid_step=0.25)
+            assert cert.B_p >= sum(sigma1([(0, a)]) for a in p_coeffs)
+            p_terms = list(enumerate(p_coeffs))
+            dp_terms = [(i - 1, i * a) for i, a in p_terms[1:]]
+            q_terms = list(enumerate(q_coeffs))
+            for z in (-1.0, 0.5, 1.0):
+                assert cert.M_p_upper >= sigma1(p_terms, z)
+                assert cert.M_pprime >= mpmath.sqrt(n) * sigma1(dp_terms, z)
+
+            # scaling by 1/8 is exact, so the 30-digit values scale with it
+            s = SASSystem.create(MatrixPolynomial.from_coeffs([a / 8 for a in p_coeffs]),
+                                 MatrixPolynomial.from_coeffs([a / 8 for a in q_coeffs]),
+                                 np.ones(n), eps=0.1, grid_step=0.25)
+            for z in (-1.0, 0.5, 1.0):
+                assert s.K1 >= sigma1(p_terms, z) / 8
+                assert s.K2 >= sigma1(q_terms, z) / 8
+            lin = LinearSystem.create(p_coeffs[0] / 8, np.ones(n),
+                                      ScalarPolynomial.coordinate(n, 0), eps=0.1)
+            assert lin.sigma >= sigma1(p_terms[:1]) / 8
 
 if __name__ == "__main__":
     unittest.main()

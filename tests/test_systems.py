@@ -114,6 +114,18 @@ def test_recursion_rejects_bad_inputs():
         sas_run_recursion(s, big)
 
 
+def test_sas_inputs_confined_to_unit_interval():
+    s = random_sas(np.random.default_rng(3))
+    over = BoundedSequence(np.array([[0.5], [1.0 + 1e-13]]), bound=2.0)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        sas_run_recursion(s, over)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        sas_terminal_states_batch(s, over.window.T)
+    edge = BoundedSequence(np.array([[-1.0], [1.0]]), bound=1.0)
+    sas_run_recursion(s, edge)
+    sas_terminal_states_batch(s, edge.window.T)
+
+
 def test_recursion_initial_state_sanity_cap():
     s = random_sas(np.random.default_rng(4))
     z = random_input(np.random.default_rng(5), T=10)
@@ -407,6 +419,25 @@ def test_linear_construction_guards():
         LinearSystem.create(np.zeros((2, 3)), np.eye(2), h, eps=0.1)
     with pytest.raises(ValueError, match="arity"):
         LinearSystem.create(np.zeros((3, 3)), np.eye(3), h, eps=0.1)
+
+
+def test_linear_rejects_non_finite_c():
+    h = ScalarPolynomial.coordinate(2, 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearSystem.create(0.5 * np.eye(2), [[1.0], [bad]], h, eps=0.1)
+
+
+def test_sas_rejects_non_finite_readout():
+    s = random_sas(np.random.default_rng(6))
+    p, q = s.p, s.q
+    for bad in (np.nan, np.inf, -np.inf):
+        W = np.ones(s.N)
+        W[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SASSystem.create(p, q, W, eps=s.eps)
+        with pytest.raises(ValueError, match="finite"):
+            s.with_readout(W)
 
 
 def test_sas_construction_guard():
