@@ -54,6 +54,7 @@ from .systems import (
     Trajectory,
     default_washout,
     esp_margin,
+    evaluate_batch,
     evaluate_filter,
     fmp_lipschitz_constant,
     fmp_weighting,
@@ -131,7 +132,7 @@ __all__ = [
     # systems
     "SASSystem", "LinearSystem", "Trajectory", "sas_run_recursion", "sas_run_series",
     "sas_functional", "sas_state", "sas_terminal_states_batch", "linear_run",
-    "linear_functional", "linear_state", "evaluate_filter", "state_bound",
+    "linear_functional", "linear_state", "evaluate_filter", "evaluate_batch", "state_bound",
     "fmp_lipschitz_constant", "fmp_weighting", "esp_margin", "default_washout",
     "system_to_json", "system_from_json", "trajectory_to_csv",
     # algebra

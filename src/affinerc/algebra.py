@@ -30,17 +30,18 @@ from .polynomials import (
     MatrixPolynomial,
     NormCertificate,
     ScalarPolynomial,
+    _poly_values,
     norm_certificate,
     poly_direct_sum,
     poly_kron,
     poly_vstack,
-    scalar_poly_eval,
 )
 from .sequences import BoundedSequence
 from .systems import (
     LinearSystem,
     SASSystem,
-    evaluate_filter,
+    _readout_vector,
+    evaluate_batch,
     system_to_json,
 )
 
@@ -96,7 +97,10 @@ def _build_sas(p, q, W, theory: float, kind: str, grid_step: float) -> SASSystem
             cert,
         )
     eps = _effective_margin(theory, cert)
-    return SASSystem.create(p=p, q=q, W=W, eps=eps, grid_step=grid_step)
+    # what SASSystem.create would check holds by construction (p square, q N x 1,
+    # M_p_upper < 1 - eps), so p keeps its one certificate
+    return SASSystem(p=p, q=q, W=_readout_vector(W, p.rows), eps=eps, p_cert=cert,
+                     q_cert=norm_certificate(q, grid_step=grid_step))
 
 
 def sas_add(
@@ -137,16 +141,14 @@ def sas_multiply(
         (2, 1): poly_kron(s1.q, s2.p),  # v2 -> q1 (x) (p2 v2)
         (2, 2): poly_kron(s1.p, s2.p),
     }
-    row_off = {0: 0, 1: N1, 2: N1 + N2}
-    col_off = {0: 0, 1: N1, 2: N1 + N2}
+    off = {0: 0, 1: N1, 2: N1 + N2}  # of the three state blocks, in rows and columns
     deg = max(b.degree for b in blocks.values())
     coeffs = []
     for d in range(deg + 1):
         mat = np.zeros((N12, N12))
         for (r, c), poly in blocks.items():
             blk = poly.coeff(d)
-            mat[row_off[r] : row_off[r] + blk.shape[0],
-                col_off[c] : col_off[c] + blk.shape[1]] = blk
+            mat[off[r] : off[r] + blk.shape[0], off[c] : off[c] + blk.shape[1]] = blk
         coeffs.append(mat)
     p = MatrixPolynomial(rows=N12, cols=N12, coeffs=tuple(coeffs))
 
@@ -218,10 +220,14 @@ class ParallelFilter:
         if self.combiner.arity != 2:
             raise ValueError("combiner must be a polynomial in exactly 2 variables")
 
+    def evaluate_batch(self, inputs, tol: float = 1e-9) -> np.ndarray:
+        """Both parts as batches, then the combiner on the (B, 2) output pairs."""
+        pairs = np.column_stack([evaluate_batch(self.left, inputs, tol),
+                                 evaluate_batch(self.right, inputs, tol)])
+        return _poly_values(self.combiner, pairs)
+
     def evaluate(self, z: BoundedSequence, tol: float = 1e-9) -> float:
-        y1 = evaluate_filter(self.left, z, tol)
-        y2 = evaluate_filter(self.right, z, tol)
-        return float(scalar_poly_eval(self.combiner, [y1, y2]))
+        return float(self.evaluate_batch([z], tol)[0])
 
 
 def generic_parallel_compose(f1, f2, combiner: ScalarPolynomial) -> ParallelFilter:

@@ -24,21 +24,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .ensembles import _clipped_arma
 from .polynomials import (
     MatrixPolynomial,
     ScalarPolynomial,
-    scalar_poly_eval,
+    _monomial_products,
     spectral_norm,
 )
-from .sequences import BoundedSequence
+from .sequences import BoundedSequence, _finite
 from .systems import (
     LinearSystem,
     SASSystem,
-    _check_linear_input,
-    _check_sas_input,
+    _rowwise,
     _terminal_states,
-    evaluate_filter,
-    linear_state,
+    evaluate_batch,
+    linear_functional,
 )
 
 __all__ = [
@@ -78,8 +78,12 @@ class TargetFilter:
     bound: float
     fn: object  # BoundedSequence -> float
 
+    def evaluate_batch(self, inputs, tol: float = 1e-9) -> np.ndarray:
+        """``fn`` on each input in turn: the function is opaque and takes one input."""
+        return np.array([float(self.fn(z)) for z in inputs])
+
     def evaluate(self, z: BoundedSequence, tol: float = 1e-9) -> float:
-        return float(self.fn(z))
+        return float(self.evaluate_batch([z], tol)[0])
 
 
 def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05, bound: float = 1.0,
@@ -88,7 +92,7 @@ def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05, bound: float
     system = LinearSystem.create(A=A, c=c, h=h, eps=eps)
 
     def fn(z: BoundedSequence) -> float:
-        return scalar_poly_eval(system.h, linear_state(system, z, tol=tol))
+        return linear_functional(system, z, tol=tol)
 
     return TargetFilter(name="linear_iir", bound=bound, fn=fn)
 
@@ -100,9 +104,10 @@ def target_finite_volterra(memory: int, k0: float = 0.0, k1=None, k2=None, k3=No
     H(z) = k0 + sum_i k1[i] z_{-i} + sum_{ij} k2[i,j] z_{-i} z_{-j}
          + sum_{ijl} k3[i,j,l] z_{-i} z_{-j} z_{-l},   all indices < memory.
     """
-    k1 = None if k1 is None else np.asarray(k1, dtype=float)
-    k2 = None if k2 is None else np.asarray(k2, dtype=float)
-    k3 = None if k3 is None else np.asarray(k3, dtype=float)
+    k0 = float(_finite("k0", k0))
+    k1 = None if k1 is None else _finite("k1", k1)
+    k2 = None if k2 is None else _finite("k2", k2)
+    k3 = None if k3 is None else _finite("k3", k3)
 
     def fn(z: BoundedSequence) -> float:
         u = z.values_newest_first(memory)[:, 0]
@@ -120,7 +125,7 @@ def target_finite_volterra(memory: int, k0: float = 0.0, k1=None, k2=None, k3=No
 
 def target_tanh_of_linear(weights, bound: float = 1.0) -> TargetFilter:
     """H(z) = tanh(sum_i w_i z_{-i}) — a saturating fading-memory nonlinearity."""
-    w = np.asarray(weights, dtype=float)
+    w = _finite("weights", weights)
 
     def fn(z: BoundedSequence) -> float:
         u = z.values_newest_first(w.size)[:, 0]
@@ -131,22 +136,10 @@ def target_tanh_of_linear(weights, bound: float = 1.0) -> TargetFilter:
 
 def target_bounded_arma(ar, ma, clip: float, bound: float = 1.0) -> TargetFilter:
     """ARMA recursion driven by the input, hard-clipped to +-clip each step."""
-    ar = np.asarray(ar, dtype=float)
-    ma = np.asarray(ma, dtype=float)
+    ar, ma, clip = _finite("ar", ar), _finite("ma", ma), float(_finite("clip", clip))
 
     def fn(z: BoundedSequence) -> float:
-        u = z.window[:, 0]
-        y = np.zeros(u.size)
-        for t in range(u.size):
-            acc = u[t]
-            for i, phi in enumerate(ar, start=1):
-                if t - i >= 0:
-                    acc += phi * y[t - i]
-            for j, theta in enumerate(ma, start=1):
-                if t - j >= 0:
-                    acc += theta * u[t - j]
-            y[t] = min(max(acc, -clip), clip)
-        return float(y[-1])
+        return float(_clipped_arma(z.window[None, :, 0], ar, ma, clip)[0, -1])
 
     return TargetFilter(name="bounded_arma", bound=bound, fn=fn)
 
@@ -200,35 +193,27 @@ def sample_candidate(spec: FamilySpec):
     rng = np.random.default_rng(spec.seed)
     target = 0.95 * (1.0 - spec.eps)
     N = spec.N
-    if spec.family == "SAS_eps":
-        p = _scaled_poly(rng, N, N, spec.deg_p, target)
+    if spec.family in ("SAS_eps", "NS_eps"):  # draws p, then q, then W
+        if spec.family == "SAS_eps":
+            p = _scaled_poly(rng, N, N, spec.deg_p, target)
+        else:
+            J = np.triu(rng.standard_normal((N, N)), k=1)
+            nrm = spectral_norm(J)
+            if nrm > 0.0:
+                J = J * (target / nrm)
+            p = MatrixPolynomial.from_coeffs([np.zeros((N, N)), J], rows=N, cols=N)
         q = _scaled_poly(rng, N, 1, spec.deg_q, target)
         W = rng.standard_normal(N)
         return SASSystem.create(p=p, q=q, W=W, eps=spec.eps, grid_step=0.25)
-    if spec.family == "NS_eps":
-        J = np.triu(rng.standard_normal((N, N)), k=1)
-        nrm = spectral_norm(J)
-        if nrm > 0.0:
-            J = J * (target / nrm)
-        p = MatrixPolynomial.from_coeffs([np.zeros((N, N)), J], rows=N, cols=N)
-        q = _scaled_poly(rng, N, 1, spec.deg_q, target)
-        W = rng.standard_normal(N)
-        return SASSystem.create(p=p, q=q, W=W, eps=spec.eps, grid_step=0.25)
-    if spec.family == "L_eps":
+    if spec.family == "L_eps":  # draws A, then c, then the readout
         A = rng.standard_normal((N, N))
         sig = spectral_norm(A)
         if sig > 0.0:
             A = A * (target / sig)
-        c = rng.standard_normal((N, 1))
-        h = ScalarPolynomial.linear_form(rng.standard_normal(N))
-        return LinearSystem.create(A=A, c=c, h=h, eps=spec.eps)
-    if spec.family == "DL_eps":
+    elif spec.family == "DL_eps":
         A = np.diag(rng.uniform(-(1.0 - spec.eps), 1.0 - spec.eps, size=N))
-        c = rng.standard_normal((N, 1))
-        h = ScalarPolynomial.linear_form(rng.standard_normal(N))
-        return LinearSystem.create(A=A, c=c, h=h, eps=spec.eps)
-    # NL: exact delay line, nilpotent of index N
-    A = _shift_matrix(N)
+    else:  # NL: exact delay line, nilpotent of index N
+        A = _shift_matrix(N)
     c = rng.standard_normal((N, 1))
     h = ScalarPolynomial.linear_form(rng.standard_normal(N))
     return LinearSystem.create(A=A, c=c, h=h, eps=spec.eps)
@@ -257,41 +242,23 @@ def monomial_exponents(arity: int, degree: int) -> list:
 def monomial_features(states: np.ndarray, degree: int) -> np.ndarray:
     """Map raw states (B, N) to monomial features of degree 1..``degree``."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    cols = []
-    for alpha in monomial_exponents(states.shape[1], degree):
-        col = np.ones(states.shape[0])
-        for i, e in enumerate(alpha):
-            if e:
-                col = col * states[:, i] ** e
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    alphas = monomial_exponents(states.shape[1], degree)
+    return _monomial_products(states, alphas, np.ones(len(alphas)))
 
 
 def harvest_states(system, inputs, tol: float = 1e-9, readout_degree: int | None = None):
     """Design matrix of terminal states, one row per input.
 
-    Each input is cut to, or extended by its own rule to, the J+1 newest entries
-    that the certified tail below ``tol`` needs, and the whole batch goes through one
-    kernel call: the SAS recursion from the zero state, or the linear state sum.  A
-    row is therefore the series state of :func:`sas_state` / :func:`linear_state`,
-    exact to ``tol`` whatever the window lengths; linear batches use the J of their
-    largest input bound.  With ``readout_degree`` set, rows are the monomial features
-    of the terminal state up to that degree.
+    The batch goes through the one batched kernel call of each system family, and a
+    row is the series state of :func:`sas_state` / :func:`linear_state`, exact to
+    ``tol`` whatever the window lengths.  With ``readout_degree`` set, rows are the
+    monomial features of the terminal state up to that degree.
     """
     inputs = list(inputs)
     if not inputs:
         raise ValueError("need at least one input")
     if not isinstance(system, (SASSystem, LinearSystem)):
         raise TypeError(f"unsupported system type {type(system).__name__}")
-    for i, z in enumerate(inputs):
-        try:
-            if isinstance(system, SASSystem):
-                _check_sas_input(z)
-            else:
-                _check_linear_input(system, z)
-        except ValueError as exc:
-            raise ValueError(f"input {i} is not admissible: {exc}") from exc
-
     rows = _terminal_states(system, inputs, tol)
     if readout_degree is not None:
         rows = monomial_features(rows, readout_degree)
@@ -346,10 +313,14 @@ class TrainedModel:
     test_error: float
     tol: float = 1e-9
 
+    def evaluate_batch(self, inputs, tol: float | None = None) -> np.ndarray:
+        """The readout contracted with each harvested row, row by row."""
+        rows = harvest_states(self.system, inputs, tol=self.tol if tol is None else tol,
+                              readout_degree=self.readout_degree)
+        return _rowwise(rows, self.readout)
+
     def evaluate(self, z: BoundedSequence, tol: float | None = None) -> float:
-        tol = self.tol if tol is None else tol
-        row = harvest_states(self.system, [z], tol=tol, readout_degree=self.readout_degree)
-        return float(self.readout @ row[0])
+        return float(self.evaluate_batch([z], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -359,15 +330,14 @@ class SupError:
 
 
 def sup_error(model, target, test_inputs, tol: float = 1e-9) -> SupError:
-    """Empirical sup |model - target| over the inputs; a lower bound of the true sup."""
+    """Empirical sup |model - target| over the inputs (NaN if a difference is NaN);
+    a lower bound of the true sup."""
     test_inputs = list(test_inputs)
     if not test_inputs:
         raise ValueError("need at least one test input")
-    worst = 0.0
-    for z in test_inputs:
-        diff = abs(evaluate_filter(model, z, tol=tol) - evaluate_filter(target, z, tol=tol))
-        worst = max(worst, diff)
-    return SupError(value=worst, n_inputs=len(test_inputs))
+    diffs = np.abs(evaluate_batch(model, test_inputs, tol)
+                   - evaluate_batch(target, test_inputs, tol))
+    return SupError(value=float(np.max(diffs)), n_inputs=len(test_inputs))
 
 
 # ---------------------------------------------------------------------------------
@@ -391,12 +361,8 @@ class WitnessResult:
 
 def _first_difference(z1: BoundedSequence, z2: BoundedSequence):
     depth = max(z1.length, z2.length) + 1  # one slot past both windows decides the tails
-    for t in range(depth):
-        d = z1.entry(t) - z2.entry(t)
-        nz = np.flatnonzero(d)
-        if nz.size:
-            return t, int(nz[0])
-    return None
+    hits = np.argwhere(z1.values_newest_first(depth) != z2.values_newest_first(depth))
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
 def separation_witness(
@@ -502,16 +468,11 @@ class ApproximationResult:
 
     def curve(self) -> list:
         """Per-(family, N) minimum test error, in schedule order."""
-        seen: dict = {}
-        order = []
+        seen: dict = {}  # insertion-ordered: the schedule order
         for r in self.rows:
             key = (r.family, r.N)
-            if key not in seen:
-                seen[key] = r.test_err
-                order.append(key)
-            else:
-                seen[key] = min(seen[key], r.test_err)
-        return [(fam, N, seen[(fam, N)]) for fam, N in order]
+            seen[key] = min(seen.get(key, r.test_err), r.test_err)
+        return [(fam, N, err) for (fam, N), err in seen.items()]
 
     def to_csv(self) -> str:
         lines = ["family,N,restart,train_err,test_err,seed"]
@@ -522,8 +483,8 @@ class ApproximationResult:
         return "\n".join(lines) + "\n"
 
 
-def _fit_candidate(system, target, train_inputs, train_targets, test_inputs,
-                   test_targets, lam_reg, tol, readout_degree):
+def _fit_candidate(system, train_inputs, train_targets, test_inputs, test_targets,
+                   lam_reg, tol, readout_degree):
     X = harvest_states(system, train_inputs, tol=tol, readout_degree=readout_degree)
     w = train_readout(X, train_targets, lam_reg)
     train_err = float(np.max(np.abs(X @ w - train_targets)))
@@ -568,51 +529,26 @@ def approximate(
 
     train_inputs = input_generator(n_train, window, seed * 2 + 1)
     test_inputs = input_generator(n_test, window, seed * 2 + 2)
-    train_targets = np.array([target.evaluate(z) for z in train_inputs])
-    test_targets = np.array([target.evaluate(z) for z in test_inputs])
+    train_targets = evaluate_batch(target, train_inputs)
+    test_targets = evaluate_batch(target, test_inputs)
 
     rows: list = []
     best: TrainedModel | None = None
     best_row: CurveRow | None = None
-    evaluations = 0
-
-    def consider(model: TrainedModel, row: CurveRow):
-        nonlocal best, best_row
+    # (family, restart, seed, spec or planted system), in evaluation order
+    pool = [(spec.family, r, spec.seed * 100003 + r, spec)
+            for spec in schedule for r in range(restarts)]
+    pool += [("planted", restarts + i, -1, system) for i, system in enumerate(planted or [])]
+    for family, restart, cand_seed, source in itertools.islice(pool, budget):
+        system = (sample_candidate(replace(source, seed=cand_seed))
+                  if isinstance(source, FamilySpec) else source)
+        model = _fit_candidate(system, train_inputs, train_targets, test_inputs,
+                               test_targets, lam_reg, tol, readout_degree)
+        row = CurveRow(family=family, N=system.N, restart=restart,
+                       train_err=model.train_error, test_err=model.test_error, seed=cand_seed)
         rows.append(row)
         if best is None or model.test_error < best.test_error:
             best, best_row = model, row
-
-    for spec in schedule:
-        for r in range(restarts):
-            if budget is not None and evaluations >= budget:
-                break
-            cand_seed = spec.seed * 100003 + r
-            system = sample_candidate(replace(spec, seed=cand_seed))
-            model = _fit_candidate(
-                system, target, train_inputs, train_targets, test_inputs,
-                test_targets, lam_reg, tol, readout_degree,
-            )
-            evaluations += 1
-            consider(model, CurveRow(
-                family=spec.family, N=spec.N, restart=r,
-                train_err=model.train_error, test_err=model.test_error,
-                seed=cand_seed,
-            ))
-        if budget is not None and evaluations >= budget:
-            break
-
-    for i, system in enumerate(planted or []):
-        if budget is not None and evaluations >= budget:
-            break
-        model = _fit_candidate(
-            system, target, train_inputs, train_targets, test_inputs,
-            test_targets, lam_reg, tol, readout_degree,
-        )
-        evaluations += 1
-        consider(model, CurveRow(
-            family="planted", N=system.N, restart=restarts + i,
-            train_err=model.train_error, test_err=model.test_error, seed=-1,
-        ))
 
     if best is None:
         raise ValueError("budget exhausted before any candidate was evaluated")

@@ -5,18 +5,21 @@ Probability enters only through the seeds: every quantity below is a determinist
 function of (descriptor, n_paths, window, seed), and the essential supremum over a
 finite family is the plain maximum.  Deterministic sup-norm guarantees therefore
 transfer verbatim — ``transfer_check`` exercises exactly that, byte for byte.
+Filters take an ensemble as one batch (``evaluate_batch``), whose values do not
+depend on the batch they share.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import BoundedSequence, WeightingSequence, weighted_norm
-from .systems import evaluate_filter
+from .sequences import BoundedSequence, WeightingSequence, _finite, weighted_norm
+from .systems import _InputRejected, evaluate_batch
 
 __all__ = [
     "InputEnsemble",
@@ -62,6 +65,21 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
+def _clipped_arma(u: np.ndarray, ar, ma, clip: float) -> np.ndarray:
+    """``y_t = u_t + sum_k ar_k y_{t-k} + sum_k ma_k u_{t-k}``, summed in that order and
+    clipped to [-clip, clip], from zero along every row of the (B, T) drive ``u``."""
+    ar, ma = np.ravel(ar), np.ravel(ma)
+    y = np.zeros_like(u)
+    for t in range(u.shape[1]):
+        acc = u[:, t].copy()
+        for k, phi in enumerate(ar[:t], start=1):
+            acc += phi * y[:, t - k]
+        for k, theta in enumerate(ma[:t], start=1):
+            acc += theta * u[:, t - k]
+        y[:, t] = np.minimum(np.maximum(acc, -clip), clip)
+    return y
+
+
 def generate_ensemble(descriptor: dict, n_paths: int, window: int, seed: int) -> InputEnsemble:
     """Draw ``n_paths`` seeded paths of the given window length.
 
@@ -69,48 +87,34 @@ def generate_ensemble(descriptor: dict, n_paths: int, window: int, seed: int) ->
       {"kind": "iid_uniform", "bound": M}
       {"kind": "clipped_ar1", "phi": ..., "sigma": ..., "bound": M}
       {"kind": "bounded_arma", "ar": [...], "ma": [...], "bound": M}
+
+    Each path draws from its own seeded stream; clipped AR(1) is ARMA on
+    ``sigma * u`` with ``ar = [phi]``.  Bad kinds and parameters raise ValueError.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
+    descriptor = dict(descriptor)  # a copy; a non-mapping raises here
     kind = descriptor.get("kind")
     M = float(descriptor.get("bound", 1.0))
-    if M <= 0.0:
-        raise ValueError("bound must be positive")
-    paths = []
-    for i in range(n_paths):
-        rng = _path_rng(seed, i)
-        if kind == "iid_uniform":
-            data = rng.uniform(-M, M, size=(window, 1))
-        elif kind == "clipped_ar1":
-            phi = float(descriptor["phi"])
-            sigma = float(descriptor["sigma"])
-            u = rng.uniform(-1.0, 1.0, size=window)
-            data = np.zeros((window, 1))
-            prev = 0.0
-            for t in range(window):
-                prev = min(max(phi * prev + sigma * u[t], -M), M)
-                data[t, 0] = prev
-        elif kind == "bounded_arma":
-            ar = np.asarray(descriptor.get("ar", []), dtype=float)
-            ma = np.asarray(descriptor.get("ma", []), dtype=float)
-            u = rng.uniform(-1.0, 1.0, size=window)
-            y = np.zeros(window)
-            for t in range(window):
-                acc = u[t]
-                for k, phi in enumerate(ar, start=1):
-                    if t - k >= 0:
-                        acc += phi * y[t - k]
-                for k, theta in enumerate(ma, start=1):
-                    if t - k >= 0:
-                        acc += theta * u[t - k]
-                y[t] = min(max(acc, -M), M)
-            data = y[:, None]
-        else:
-            raise ValueError(f"unknown ensemble kind {kind!r}")
-        paths.append(BoundedSequence(window=data, bound=M, extension="zero"))
-    return InputEnsemble(paths=tuple(paths), descriptor=dict(descriptor), seed=seed)
+    if not (math.isfinite(M) and M > 0.0):
+        raise ValueError("bound must be finite and positive")
+    if kind not in ("iid_uniform", "clipped_ar1", "bounded_arma"):
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    lo = -M if kind == "iid_uniform" else -1.0
+    data = np.empty((n_paths, window))
+    for i, row in enumerate(data):
+        row[:] = _path_rng(seed, i).uniform(lo, -lo, size=window)
+    if kind == "clipped_ar1":
+        data *= _finite("sigma", float(descriptor["sigma"]))
+        data = _clipped_arma(data, _finite("phi", float(descriptor["phi"])), [], M)
+    elif kind == "bounded_arma":
+        data = _clipped_arma(data, _finite("ar", descriptor.get("ar", [])),
+                             _finite("ma", descriptor.get("ma", [])), M)
+    paths = tuple(BoundedSequence(window=row[:, None], bound=M, extension="zero")
+                  for row in data)
+    return InputEnsemble(paths=paths, descriptor=descriptor, seed=seed)
 
 
 # ---------------------------------------------------------------------------------
@@ -137,11 +141,8 @@ def _swap_sup(rows: list) -> float:
 
 def linf_norm(ensemble: InputEnsemble) -> float:
     """ess-sup over paths of ``sup_t ||z_{-t}||`` (Euclidean per entry, exact tail)."""
-    rows = []
-    for p in ensemble.paths:
-        vals = list(np.linalg.norm(p.window[::-1], axis=1))
-        vals.append(float(np.linalg.norm(p.extension_value())))
-        rows.append([float(v) for v in vals])
+    rows = [np.linalg.norm(p.window[::-1], axis=1).tolist()
+            + [float(np.linalg.norm(p.extension_value()))] for p in ensemble.paths]
     return _swap_sup(rows)
 
 
@@ -166,14 +167,11 @@ def linf_weighted_norm(ensemble: InputEnsemble, w: WeightingSequence) -> float:
 
 
 def pathwise_apply(filt, ensemble: InputEnsemble, tol: float = 1e-9) -> np.ndarray:
-    """Apply a filter to every path; error messages carry the offending path index."""
-    out = np.zeros(ensemble.n_paths)
-    for i, z in enumerate(ensemble.paths):
-        try:
-            out[i] = evaluate_filter(filt, z, tol=tol)
-        except ValueError as exc:
-            raise ValueError(f"path {i} rejected: {exc}") from exc
-    return out
+    """Apply a filter to every path as one batch; a rejected path is named by index."""
+    try:
+        return evaluate_batch(filt, ensemble.paths, tol)
+    except _InputRejected as exc:
+        raise ValueError(f"path {exc.index} rejected: {exc.reason}") from exc
 
 
 @dataclass(frozen=True)
@@ -192,10 +190,11 @@ def transfer_check(target, approximant, ensemble: InputEnsemble,
                    tol: float = 1e-9) -> TransferReport:
     """Sup of |target - approximant| over the ensemble, cross-checked two ways.
 
-    The stochastic sup (ess sup over paths) must equal — bitwise — the deterministic
-    sup error over the identical paths treated as a plain input set, because both go
-    through ``evaluate_filter``.  A ``deterministic_bound`` certified for a superset
-    input family may be supplied; the report states whether it holds here too.
+    The stochastic sup (ess sup over paths, via :func:`pathwise_apply`) must equal —
+    bitwise — the deterministic sup error over the identical paths treated as a plain
+    input set (:func:`sup_error`); the two pipelines make separate batch calls.  A
+    ``deterministic_bound`` certified for a superset input family may be supplied;
+    the report states whether it holds here too.
     """
     from .approximation import sup_error
 
@@ -235,10 +234,8 @@ def bounded_moment_check(ensemble: InputEnsemble, k_max: int) -> MomentReport:
         raise ValueError("k_max must be >= 1")
     M = ensemble.bound
     T = max(p.length for p in ensemble.paths)
-    norms = np.zeros((ensemble.n_paths, T))
-    for i, p in enumerate(ensemble.paths):
-        for t in range(T):
-            norms[i, t] = np.linalg.norm(p.entry(t))
+    norms = np.stack([np.linalg.norm(p.values_newest_first(T), axis=1)
+                      for p in ensemble.paths])
     failures = []
     worst = 0.0
     for k in range(1, k_max + 1):

@@ -320,9 +320,12 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The three conditions, with the norm certificate that decided (ii) and (iii)."""
+
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
+    certificate: NormCertificate
 
 
 def check_conditions(p: MatrixPolynomial, lam: float, grid_step: float = 1e-3) -> ConditionReport:
@@ -336,9 +339,8 @@ def check_conditions(p: MatrixPolynomial, lam: float, grid_step: float = 1e-3) -
         raise ValueError("lam must lie in (0, 1)")
     cert = norm_certificate(p, grid_step=grid_step)
     cond_i = all(spectral_norm(c) < lam for c in p.coeffs) and lam * (p.degree + 1) < 1.0
-    cond_ii = cert.B_p < 1.0
-    cond_iii = cert.M_p_upper < 1.0
-    return ConditionReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
+    return ConditionReport(cond_i=cond_i, cond_ii=cert.B_p < 1.0,
+                           cond_iii=cert.M_p_upper < 1.0, certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -426,12 +428,7 @@ class ScalarPolynomial:
     @classmethod
     def linear_form(cls, weights) -> "ScalarPolynomial":
         w = np.asarray(weights, dtype=float)
-        terms = {}
-        for i, wi in enumerate(w):
-            alpha = [0] * w.size
-            alpha[i] = 1
-            terms[tuple(alpha)] = float(wi)
-        return cls(arity=w.size, terms=terms)
+        return cls(arity=w.size, terms=zip(map(tuple, np.eye(w.size, dtype=int)), w))
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -473,19 +470,31 @@ class ScalarPolynomial:
         return ScalarPolynomial(arity=new_arity, terms=terms)
 
 
+def _monomial_products(X: np.ndarray, alphas, start) -> np.ndarray:
+    """Column k is ``start[k] * prod_i X[:, i]**alphas[k][i]`` over the (B, n) block X,
+    multiplied in variable order, elementwise, so no row depends on the others."""
+    out = np.tile(np.asarray(start, dtype=float), (X.shape[0], 1))
+    alphas = np.asarray(alphas, dtype=int).reshape(-1, X.shape[1])
+    for i, col in enumerate(alphas.T):
+        for e in np.unique(col[col > 0]).tolist():
+            hit = col == e
+            out[:, hit] *= X[:, i:i + 1] ** e
+    return out
+
+
+def _poly_values(h: ScalarPolynomial, X: np.ndarray) -> np.ndarray:
+    """h at every row of the (B, arity) block X: 0.0 and then the terms in stored
+    order, summed left to right (``cumsum`` is sequential; a reduction may regroup)."""
+    alphas, coeffs = zip(((0,) * h.arity, 0.0), *h.terms)
+    return np.cumsum(_monomial_products(X, alphas, coeffs), axis=1)[:, -1]
+
+
 def scalar_poly_eval(h: ScalarPolynomial, x) -> float:
-    """sum over terms of coeff * prod x_i**alpha_i."""
+    """sum over terms of coeff * prod x_i**alpha_i (one row of ``_poly_values``)."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != h.arity:
         raise ValueError(f"arity mismatch: polynomial has {h.arity}, got {x.size}")
-    total = 0.0
-    for alpha, coeff in h.terms:
-        term = coeff
-        for xi, e in zip(x, alpha):
-            if e:
-                term *= xi**e
-        total += term
-    return float(total)
+    return float(_poly_values(h, x[None])[0])
 
 
 # ---------------------------------------------------------------------------------

@@ -196,6 +196,14 @@ class BoundedSequence:
         return np.concatenate([self.window[::-1], ext], axis=0)
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array, or ValueError if any entry is NaN or infinite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _check_same_dim(z: BoundedSequence, s: BoundedSequence) -> None:
     if z.dim != s.dim:
         raise ValueError(f"dimension mismatch: {z.dim} vs {s.dim}")

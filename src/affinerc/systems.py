@@ -27,6 +27,12 @@ geometric tail is below ``tol`` (``_geometric_terms``, which also sets the washo
 The plain recursion from a caller-supplied initial state remains the independent
 solution path: its agreement with the series past the washout is a core
 correctness check.
+
+Every filter is evaluated by ``evaluate_batch(f, inputs, tol)``, the (B,) values at
+t = 0 of a list of histories; the one-input evaluators are its B = 1 case.  A value
+must not depend, to the bit, on the other inputs of its batch, since the transfer
+check expects exact agreement: the SAS scan and the readouts multiply row by row
+(``_rowwise``), never by one BLAS ``X @ C`` whose blocking changes with B.
 """
 
 from __future__ import annotations
@@ -43,11 +49,11 @@ from .polynomials import (
     MatrixPolynomial,
     NormCertificate,
     ScalarPolynomial,
+    _poly_values,
     _spectral_norms,
     norm_certificate,
     poly_from_json,
     poly_to_json,
-    scalar_poly_eval,
     scalar_poly_from_json,
     scalar_poly_to_json,
     spectral_norm,
@@ -68,6 +74,7 @@ __all__ = [
     "linear_functional",
     "linear_state",
     "evaluate_filter",
+    "evaluate_batch",
     "fmp_lipschitz_constant",
     "fmp_weighting",
     "esp_margin",
@@ -277,22 +284,29 @@ def _newest(z: BoundedSequence, n: int) -> np.ndarray:
     return z.values_newest_first(n)[::-1]
 
 
+def _rowwise(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``X @ C`` for a (B, n) block X as B one-row BLAS calls, alike for any B; a plain
+    ``X @ C`` splits the rows into kernels that round differently as B changes."""
+    return np.matmul(X[:, None, :], C)[:, 0]
+
+
 def _sas_scan(s: SASSystem, Z: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
     """Step ``X <- p(z) X + q(z)`` along the columns of the (B, T) input block ``Z``.
 
     ``X`` holds one (N,) start state per row.  Returns the (B, N) terminal states
     and, given ``out`` of shape (T, B, N), stores every state there.  Both
-    polynomials run in Horner form on the state side (``X @ A_i^T`` products, then
-    a separate q accumulator), so the working memory is O(B N) whatever T is.
+    polynomials run in Horner form on the state side (row-wise ``x A_i^T``
+    products, then a separate q accumulator), so the working memory is O(B N)
+    whatever T is, and each row evolves independently of the others.
     """
     N = s.N
-    pc = [c.T for c in reversed(s.p.coeffs or (np.zeros((N, N)),))]
+    pc = [np.ascontiguousarray(c.T) for c in reversed(s.p.coeffs or (np.zeros((N, N)),))]
     qc = [c[:, 0] for c in reversed(s.q.coeffs or (np.zeros((N, 1)),))]
     for t, zt in enumerate(Z.T[:, :, None]):
-        acc = X @ pc[0]
+        acc = _rowwise(X, pc[0])
         for c in pc[1:]:
             acc *= zt
-            acc += X @ c
+            acc += _rowwise(X, c)
         qacc = qc[0]
         for c in qc[1:]:
             qacc = qacc * zt + c
@@ -347,7 +361,7 @@ def _check_unit_interval(Z: np.ndarray) -> None:
         raise ValueError("input entry outside [-1, 1]")
 
 
-def _check_sas_input(z: BoundedSequence) -> None:
+def _check_sas_input(s: SASSystem, z: BoundedSequence) -> None:
     if z.dim != 1:
         raise ValueError("state-affine systems take scalar inputs")
     _check_unit_interval(z.window)
@@ -372,7 +386,7 @@ def sas_run_recursion(
     ``2 * state_bound * (1 - eps)**washout`` (geometric forgetting with contraction
     factor K1 <= 1 - eps); that value is recorded as the truncation tail bound.
     """
-    _check_sas_input(z)
+    _check_sas_input(s, z)
     if washout < 0:
         raise ValueError("washout must be >= 0")
     sb = state_bound(s)
@@ -387,7 +401,7 @@ def sas_run_recursion(
     states = np.empty((z.length, 1, s.N))
     _sas_scan(s, z.window.T, x[None, :], out=states)
     states = states[:, 0]
-    outputs = states @ s.W
+    outputs = _rowwise(states, s.W)
     tail = 2.0 * sb * (1.0 - s.eps) ** washout
     return Trajectory(
         states=states, outputs=outputs, washout_len=washout,
@@ -408,12 +422,12 @@ def sas_run_series(s: SASSystem, z: BoundedSequence, tol: float) -> Trajectory:
     rule, so the result is the exact filter value up to the certified truncation
     tail.
     """
-    _check_sas_input(z)
+    _check_sas_input(s, z)
     J, tail = _series_terms(s, tol)
     T = z.length
     windows = sliding_window_view(_newest(z, T + J)[:, 0], J + 1)  # (T, J+1)
     states = _sas_scan(s, windows, np.zeros((T, s.N)))
-    outputs = states @ s.W
+    outputs = _rowwise(states, s.W)
     return Trajectory(
         states=states, outputs=outputs, washout_len=0, truncation_tail_bound=tail
     )
@@ -421,13 +435,12 @@ def sas_run_series(s: SASSystem, z: BoundedSequence, tol: float) -> Trajectory:
 
 def sas_state(s: SASSystem, z: BoundedSequence, tol: float = 1e-9) -> np.ndarray:
     """Series state at t = 0 (the readout-free value of the filter)."""
-    _check_sas_input(z)
     return _terminal_states(s, [z], tol)[0]
 
 
 def sas_functional(s: SASSystem, z: BoundedSequence, tol: float = 1e-9) -> float:
     """W^T (series state at t = 0); absolute error at most ||W|| * tol."""
-    return float(s.W @ sas_state(s, z, tol=tol))
+    return float(evaluate_batch(s, [z], tol)[0])
 
 
 def sas_terminal_states_batch(s: SASSystem, Z: np.ndarray) -> np.ndarray:
@@ -462,7 +475,7 @@ def linear_run(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> Trajec
     J, tail = _linear_terms(s, z.bound, tol)
     windows = sliding_window_view(_newest(z, z.length + J), J + 1, axis=0)
     states = _linear_sum(s, windows.transpose(0, 2, 1), J)
-    outputs = np.array([scalar_poly_eval(s.h, x) for x in states])
+    outputs = _poly_values(s.h, states)
     return Trajectory(
         states=states, outputs=outputs, washout_len=0, truncation_tail_bound=tail
     )
@@ -470,45 +483,76 @@ def linear_run(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> Trajec
 
 def linear_state(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> np.ndarray:
     """State sum_i A^i c z_{-i} at t = 0, exact for nilpotent systems."""
-    _check_linear_input(s, z)
     return _terminal_states(s, [z], tol)[0]
 
 
 def linear_functional(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> float:
     """h(state at t = 0)."""
-    return scalar_poly_eval(s.h, linear_state(s, z, tol=tol))
+    return float(evaluate_batch(s, [z], tol)[0])
 
 
-def _terminal_states(system, inputs: list, tol: float) -> np.ndarray:
-    """(B, N) series states at t = 0 of admissible inputs, in one kernel call.
+# ---------------------------------------------------------------------------------
+# the batch protocol
 
-    Each input is cut to, or extended by its own rule to, the J+1 newest entries the
-    tail below ``tol`` needs, whatever its window length; ``sas_state`` and
-    ``linear_state`` are the one-input case.  A linear batch takes the J of its
-    largest input bound.
+
+class _InputRejected(ValueError):
+    """An input a system cannot take; ``index`` is its place in the batch."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"input {index} is not admissible: {reason}")
+        self.index, self.reason = index, reason
+
+
+def _terminal_states(system, inputs, tol: float) -> np.ndarray:
+    """(B, N) series states at t = 0 of a batch of inputs.
+
+    Each input is checked (``_InputRejected`` names the first bad one), then cut to,
+    or extended by its own rule to, the J+1 newest entries the tail below ``tol``
+    needs.  A linear input takes the J of its own bound; inputs sharing a J share
+    one kernel call.
     """
-    if isinstance(system, SASSystem):
+    sas = isinstance(system, SASSystem)
+    for i, z in enumerate(inputs):
+        try:
+            (_check_sas_input if sas else _check_linear_input)(system, z)
+        except ValueError as exc:
+            raise _InputRejected(i, str(exc)) from exc
+    if sas:
         J, _ = _series_terms(system, tol)
         Z = np.stack([_newest(z, J + 1)[:, 0] for z in inputs])
         return sas_terminal_states_batch(system, Z)
-    J, _ = _linear_terms(system, max(z.bound for z in inputs), tol)
-    return _linear_sum(system, np.stack([_newest(z, J + 1) for z in inputs]), J)
+    J_of = {M: _linear_terms(system, M, tol)[0] for M in {z.bound for z in inputs}}
+    states = np.empty((len(inputs), system.N))
+    for J in set(J_of.values()):
+        rows = [i for i, z in enumerate(inputs) if J_of[z.bound] == J]
+        windows = np.stack([_newest(inputs[i], J + 1) for i in rows])
+        states[rows] = _linear_sum(system, windows, J)
+    return states
+
+
+def evaluate_batch(f, inputs, tol: float = 1e-9) -> np.ndarray:
+    """Evaluate a filter at time 0 on every history of ``inputs``; returns (B,).
+
+    The two system types read out their batched terminal states (``W^T x``,
+    ``h(x)``); any other filter provides ``evaluate_batch(inputs, tol)``.  A value
+    does not depend, to the bit, on the other inputs of its batch.
+    """
+    inputs = list(inputs)
+    if isinstance(f, SASSystem):
+        return _rowwise(_terminal_states(f, inputs, tol), f.W)
+    if isinstance(f, LinearSystem):
+        return _poly_values(f.h, _terminal_states(f, inputs, tol))
+    batch = getattr(f, "evaluate_batch", None)
+    if batch is None:
+        raise TypeError(f"cannot evaluate object of type {type(f).__name__} as a filter")
+    return np.asarray(batch(inputs, tol), dtype=float)
 
 
 def evaluate_filter(f, z: BoundedSequence, tol: float = 1e-9) -> float:
-    """Evaluate any filter-like object at time 0 on the history ``z``.
-
-    Dispatches on the two concrete system types; everything else (composed runners,
-    target filters, trained models) is expected to provide ``evaluate(z, tol)``.
-    """
-    if isinstance(f, SASSystem):
-        return sas_functional(f, z, tol=tol)
-    if isinstance(f, LinearSystem):
-        return linear_functional(f, z, tol=tol)
-    ev = getattr(f, "evaluate", None)
-    if ev is None:
-        raise TypeError(f"cannot evaluate object of type {type(f).__name__} as a filter")
-    return float(ev(z, tol))
+    """Evaluate any filter at time 0 on the history ``z``: the B = 1 case of
+    :func:`evaluate_batch`, with the very bits any batch gives for ``z``, so that
+    one-input targets and batched pipelines agree exactly in transfer checks."""
+    return float(evaluate_batch(f, [z], tol)[0])
 
 
 # ---------------------------------------------------------------------------------

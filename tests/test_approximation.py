@@ -299,6 +299,14 @@ def test_self_target_error_is_truncation_sized():
     assert err.value <= 1e-7
 
 
+def test_nan_difference_propagates_to_sup_error():
+    s = small_sas(seed=15)
+    target = TargetFilter(name="gap", bound=1.0,
+                          fn=lambda z: float("nan") if z.length == 30 else 0.0)
+    inputs = [generate_uniform_inputs(1, window=T, seed=T)[0] for T in (20, 30, 40)]
+    assert np.isnan(sup_error(s, target, inputs).value)
+
+
 def test_zero_target_zero_readout():
     s = small_sas(seed=15).with_readout(np.zeros(3))
     target = TargetFilter(name="null", bound=1.0, fn=lambda z: 0.0)

@@ -410,6 +410,55 @@ def test_transfer_bad_config_value_exits_2(tmp_path, capsys, key, value):
     assert "cannot parse config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,edit", [
+    ("transfer", {"ensemble": {"kind": "iid_uniform", "bound": float("nan")}}),
+    ("transfer", {"ensemble": {"kind": "iid_uniform", "bound": float("inf")}}),
+    ("transfer", {"ensemble": {"kind": "brownian", "bound": 1.0}}),
+    ("transfer", {"ensemble": {"kind": "clipped_ar1", "phi": float("nan"), "sigma": 0.5}}),
+    ("transfer", {"ensemble": {"kind": "clipped_ar1", "phi": "slow", "sigma": 0.5}}),
+    ("transfer", {"n_paths": 0}),
+    ("transfer", {"ensemble": "iid_uniform"}),
+    ("approximate", {"target": {"kind": "finite_volterra", "memory": 2,
+                                "k1": [0.5, float("nan")]}}),
+], ids=["bound-nan", "bound-inf", "unknown-kind", "phi-nan", "phi-text", "no-paths",
+        "ensemble-text", "volterra-nan"])
+def test_bad_experiment_config_exits_2(tmp_path, capsys, command, edit):
+    s = system_to_json(small_sas(seed=13))
+    if command == "transfer":
+        cfg = {"target": s, "approx": s, "ensemble": {"kind": "iid_uniform", "bound": 1.0},
+               "n_paths": 4, "window": 16}
+    else:
+        cfg = {"schedule": [{"family": "SAS_eps", "N": 2}], "n_train": 8, "n_test": 4,
+               "window": 16, "restarts": 1}
+    cfg.update(edit)
+    argv = [command, write_json(tmp_path / "cfg.json", cfg)]
+    assert main(argv + (["--out-dir", str(tmp_path)] if command == "approximate" else [])) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse config" in err and "Traceback" not in err
+
+
+def test_each_polynomial_is_certified_once(tmp_path, monkeypatch):
+    from affinerc import algebra, cli, polynomials, sas_add, sas_multiply, systems
+
+    s1, s2 = small_sas(seed=20, n=2), small_sas(seed=21, n=3)
+    p = MatrixPolynomial.from_coeffs([np.eye(4) * 0.3, np.ones((4, 4)) * 0.05])
+    path = write_json(tmp_path / "p.json", poly_to_json(p))
+    shapes = []
+
+    def counting(poly, *args, **kwargs):
+        shapes.append((poly.rows, poly.cols))
+        return norm_certificate(poly, *args, **kwargs)
+
+    for module in (algebra, cli, polynomials, systems):
+        monkeypatch.setattr(module, "norm_certificate", counting)
+    assert main(["certify", path]) == 0
+    sas_add(s1, s2, 0.5)
+    sas_multiply(s1, s2)
+    assert shapes.count((4, 4)) == 1  # certify
+    assert shapes.count((5, 5)) == 1  # the sum's p
+    assert shapes.count((11, 11)) == 1  # the product's p
+
+
 # ---------------------------------------------------------------------------------
 # verify
 

@@ -19,6 +19,7 @@ from affinerc import (
     linf_weighted_norm,
     pathwise_apply,
     sas_functional,
+    target_bounded_arma,
     transfer_check,
     weighted_distance,
     weighted_norm,
@@ -177,6 +178,57 @@ def test_pathwise_constant_system():
     e = generate_ensemble({"kind": "iid_uniform", "bound": 1.0}, 6, 16, seed=7)
     out = pathwise_apply(s, e)
     np.testing.assert_allclose(out, np.full(6, float(w @ q0.ravel())), atol=1e-14)
+
+
+def _arma_oracle(u, ar, ma, clip):
+    """The clipped ARMA recursion of one path, one scalar step at a time."""
+    y = np.zeros(u.size)
+    for t in range(u.size):
+        acc = u[t]
+        for k, phi in enumerate(ar, start=1):
+            if t - k >= 0:
+                acc += phi * y[t - k]
+        for k, theta in enumerate(ma, start=1):
+            if t - k >= 0:
+                acc += theta * u[t - k]
+        y[t] = min(max(acc, -clip), clip)
+    return y
+
+
+def _ar1_oracle(u, phi, sigma, clip):
+    y, prev = np.zeros(u.size), 0.0
+    for t in range(u.size):
+        prev = min(max(phi * prev + sigma * u[t], -clip), clip)
+        y[t] = prev
+    return y
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "clipped_ar1", "phi": 0.7, "sigma": 0.5, "bound": 1.0},
+    {"kind": "clipped_ar1", "phi": -0.95, "sigma": 0.9, "bound": 0.4},
+    {"kind": "bounded_arma", "ar": [0.5, -0.3], "ma": [0.4], "bound": 1.0},
+    {"kind": "bounded_arma", "ar": [0.9], "ma": [0.6, 0.2, -0.1], "bound": 0.5},
+    {"kind": "bounded_arma", "bound": 0.8},
+])
+def test_vectorized_recursions_match_per_path_loops(desc):
+    for seed in (0, 1, 2):
+        e = generate_ensemble(desc, 24, 96, seed=seed)
+        for i, p in enumerate(e.paths):
+            u = np.random.default_rng((seed, i)).uniform(-1.0, 1.0, size=96)
+            if desc["kind"] == "clipped_ar1":
+                want = _ar1_oracle(u, desc["phi"], desc["sigma"], desc["bound"])
+            else:
+                want = _arma_oracle(u, desc.get("ar", []), desc.get("ma", []), desc["bound"])
+            np.testing.assert_array_equal(p.window[:, 0], want)
+
+
+def test_arma_target_matches_per_path_loop():
+    rng = np.random.default_rng(66)
+    ar, ma, clip = [0.6, -0.2], [0.3, 0.1], 0.7
+    target = target_bounded_arma(ar, ma, clip)
+    for T in (1, 2, 3, 17, 90):
+        z = BoundedSequence(rng.uniform(-1.0, 1.0, size=(T, 1)), bound=1.0)
+        assert target.evaluate(z) == _arma_oracle(z.window[:, 0], ar, ma, clip)[-1]
 
 
 def test_single_path_matches_deterministic_functional():

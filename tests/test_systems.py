@@ -12,6 +12,7 @@ from affinerc import (
     WeightingSequence,
     default_washout,
     esp_margin,
+    evaluate_batch,
     evaluate_filter,
     fmp_lipschitz_constant,
     fmp_weighting,
@@ -519,6 +520,52 @@ def test_evaluate_filter_dispatch():
     assert evaluate_filter(lin, z) == linear_functional(lin, z)
     with pytest.raises(TypeError):
         evaluate_filter(object(), z)
+
+
+def _mixed_inputs(rng, n=72):
+    """Mixed window lengths (1 to 120), both extension rules and two bounds."""
+    out = []
+    for i in range(n):
+        bound = (1.0, 0.5)[i % 3 == 0]
+        out.append(BoundedSequence(
+            rng.uniform(-bound, bound, size=(int(rng.integers(1, 121)), 1)), bound=bound,
+            extension=("zero", "repeat_last_oldest")[i % 2],
+        ))
+    return out
+
+
+def _batch_filter(kind):
+    from affinerc import FamilySpec, TrainedModel, generic_parallel_compose, sample_candidate
+    from affinerc.approximation import monomial_exponents
+
+    rng = np.random.default_rng(64)
+    if kind.startswith("sas"):
+        return sample_candidate(FamilySpec("SAS_eps", N=int(kind[3:]), seed=3))
+    quad = {a: float(rng.standard_normal()) for a in monomial_exponents(6, 2)}
+    linear = sample_candidate(FamilySpec("L_eps", N=6, seed=4)).with_readout(
+        ScalarPolynomial.from_terms(6, quad))
+    if kind == "linear":
+        return linear
+    sas12 = sample_candidate(FamilySpec("SAS_eps", N=12, seed=5))
+    if kind == "trained":
+        return TrainedModel(system=sas12, readout=rng.standard_normal(90), readout_degree=2,
+                            lam_reg=0.0, train_error=0.0, test_error=0.0)
+    combiner = ScalarPolynomial.from_terms(2, {(1, 0): 0.5, (1, 1): -1.5, (0, 2): 2.0})
+    return generic_parallel_compose(sas12, linear, combiner)
+
+
+@pytest.mark.parametrize("kind", ["sas3", "sas12", "sas40", "linear", "trained", "parallel"])
+def test_batch_values_do_not_depend_on_the_batch(kind):
+    # a plain ``X @ C`` in the SAS scan or the readouts fails this: BLAS rounds a row
+    # differently depending on how many rows share the call
+    f = _batch_filter(kind)
+    inputs = _mixed_inputs(np.random.default_rng(65))
+    values = evaluate_batch(f, inputs)
+    assert values.shape == (len(inputs),)
+    for i, z in enumerate(inputs):
+        assert evaluate_filter(f, z) == values[i], i
+    np.testing.assert_array_equal(evaluate_batch(f, inputs[5:47:3]), values[5:47:3])
+    np.testing.assert_array_equal(evaluate_batch(f, inputs[::-1]), values[::-1])
 
 
 def test_batch_terminal_states_match_series():
