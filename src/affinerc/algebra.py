@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import (
-    MatrixPolynomial,
     NormCertificate,
     ScalarPolynomial,
+    _assemble,
     _poly_values,
     norm_certificate,
     poly_direct_sum,
@@ -132,27 +132,15 @@ def sas_multiply(
 ) -> ComposedSystem:
     """Realize H1 * H2 on R^{N1} (+) R^{N2} (+) (R^{N1} (x) R^{N2})."""
     N1, N2 = s1.N, s2.N
-    N12 = N1 + N2 + N1 * N2
-
-    blocks = {
+    sizes = (N1, N2, N1 * N2)  # the three state blocks, in rows and columns
+    p = _assemble({
         (0, 0): s1.p,
         (1, 1): s2.p,
         (2, 0): poly_kron(s1.p, s2.q),  # v1 -> (p1 v1) (x) q2
         (2, 1): poly_kron(s1.q, s2.p),  # v2 -> q1 (x) (p2 v2)
         (2, 2): poly_kron(s1.p, s2.p),
-    }
-    off = {0: 0, 1: N1, 2: N1 + N2}  # of the three state blocks, in rows and columns
-    deg = max(b.degree for b in blocks.values())
-    coeffs = []
-    for d in range(deg + 1):
-        mat = np.zeros((N12, N12))
-        for (r, c), poly in blocks.items():
-            blk = poly.coeff(d)
-            mat[off[r] : off[r] + blk.shape[0], off[c] : off[c] + blk.shape[1]] = blk
-        coeffs.append(mat)
-    p = MatrixPolynomial(rows=N12, cols=N12, coeffs=tuple(coeffs))
-
-    q = poly_vstack(poly_vstack(s1.q, s2.q), poly_kron(s1.q, s2.q))
+    }, sizes, sizes)
+    q = _assemble({(0, 0): s1.q, (1, 0): s2.q, (2, 0): poly_kron(s1.q, s2.q)}, sizes, (1,))
     W = np.concatenate([np.zeros(N1), np.zeros(N2), np.kron(s1.W, s2.W)])
     theory = min(s1.eps, s2.eps)
     if parents is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .systems import (
     _rowwise,
     _terminal_states,
     evaluate_batch,
-    linear_functional,
 )
 
 __all__ = [
@@ -72,29 +71,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TargetFilter:
-    """Opaque causal, time-invariant functional with a declared input bound."""
+    """Causal, time-invariant functional with a declared input bound.
+
+    ``fn`` is either an opaque one-input function ``BoundedSequence -> float`` or a
+    filter (a system or anything :func:`evaluate_batch` takes).
+    """
 
     name: str
     bound: float
-    fn: object  # BoundedSequence -> float
+    fn: object
 
     def evaluate_batch(self, inputs, tol: float = 1e-9) -> np.ndarray:
-        """``fn`` on each input in turn: the function is opaque and takes one input."""
-        return np.array([float(self.fn(z)) for z in inputs])
+        """A one-input function on each input in turn; a filter ``fn`` in one batch,
+        evaluated at ``tol``."""
+        if callable(self.fn):
+            return np.array([float(self.fn(z)) for z in inputs])
+        return evaluate_batch(self.fn, inputs, tol)
 
     def evaluate(self, z: BoundedSequence, tol: float = 1e-9) -> float:
         return float(self.evaluate_batch([z], tol)[0])
 
 
-def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05, bound: float = 1.0,
-                      tol: float = 1e-12) -> TargetFilter:
-    """The functional of a linear reservoir with polynomial readout."""
-    system = LinearSystem.create(A=A, c=c, h=h, eps=eps)
-
-    def fn(z: BoundedSequence) -> float:
-        return linear_functional(system, z, tol=tol)
-
-    return TargetFilter(name="linear_iir", bound=bound, fn=fn)
+def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05,
+                      bound: float = 1.0) -> TargetFilter:
+    """The functional of a linear reservoir with polynomial readout: the system is the
+    target's ``fn``, evaluated in one batch at the caller's ``tol``."""
+    return TargetFilter(name="linear_iir", bound=bound,
+                        fn=LinearSystem.create(A=A, c=c, h=h, eps=eps))
 
 
 def target_finite_volterra(memory: int, k0: float = 0.0, k1=None, k2=None, k3=None,
@@ -407,31 +410,33 @@ def separation_witness(
         raise ValueError("method must be 'nilpotent_shift' or 'diagonal_scan'")
 
     depth = max(z1.length, z2.length)
-    s = np.array([float(z1.entry(t)[i0] - z2.entry(t)[i0]) for t in range(depth)])
-    s_ext = float(z1.extension_value()[i0] - z2.extension_value()[i0])
 
-    def f(b: float) -> float:
-        head = float(np.polyval(s[::-1], b))  # sum_j b^j s_j
-        return head + s_ext * b**depth / (1.0 - b)
+    def output(u, u_ext, b):  # sum_j b^j u_j plus the constant tail, at b
+        return np.polyval(u[::-1], b) + u_ext * b**depth / (1.0 - b)
 
-    for b in np.linspace(-1.0 + eps, 1.0 - eps, grid_points):
-        val = f(float(b))
-        if abs(val) > witness_tol:
-            b = float(b)
-            c = np.zeros((1, z1.dim))
-            c[0, i0] = 1.0
-            system = LinearSystem.create(
-                A=np.array([[b]]), c=c, h=ScalarPolynomial.coordinate(1, 0),
-                eps=min(eps, 0.5 * (1.0 - abs(b))),
-            )
-            # f(b) is the exact output difference of the diagonal system
-            g1 = float(np.polyval(np.array([float(z1.entry(t)[i0]) for t in range(depth)])[::-1], b)
-                       + float(z1.extension_value()[i0]) * b**depth / (1.0 - b))
-            return WitnessResult(
-                system=system, method=method, t0=t0, i0=i0, b=b,
-                value_z1=g1, value_z2=g1 - val,
-            )
-    raise ValueError("sequences indistinguishable at this resolution")
+    u1 = z1.values_newest_first(depth)[:, i0]
+    u1_ext = float(z1.extension_value()[i0])
+    s = u1 - z2.values_newest_first(depth)[:, i0]
+    s_ext = float(u1_ext - z2.extension_value()[i0])
+    grid = np.linspace(-1.0 + eps, 1.0 - eps, grid_points)
+    hits = np.flatnonzero(np.abs(output(s, s_ext, grid)) > witness_tol)
+    if not hits.size:
+        raise ValueError("sequences indistinguishable at this resolution")
+    # reported values use Python's scalar power, which may round unlike NumPy's vector one
+    b = float(grid[hits[0]])
+    val = float(output(s, s_ext, b))
+    c = np.zeros((1, z1.dim))
+    c[0, i0] = 1.0
+    system = LinearSystem.create(
+        A=np.array([[b]]), c=c, h=ScalarPolynomial.coordinate(1, 0),
+        eps=min(eps, 0.5 * (1.0 - abs(b))),
+    )
+    # f(b) is the exact output difference of the diagonal system
+    g1 = float(output(u1, u1_ext, b))
+    return WitnessResult(
+        system=system, method=method, t0=t0, i0=i0, b=b,
+        value_z1=g1, value_z2=g1 - val,
+    )
 
 
 # ---------------------------------------------------------------------------------
@@ -507,7 +512,6 @@ def approximate(
     tol: float = 1e-9,
     seed: int = 0,
     readout_degree: int | None = None,
-    input_generator=None,
     budget: int | None = None,
     planted=None,
 ) -> ApproximationResult:
@@ -516,21 +520,17 @@ def approximate(
     ``planted`` systems are appended to the candidate pool (restart indices continue
     past ``restarts`` under family label "planted").  Deterministic given the seeds;
     ties in test error break toward the earlier candidate.  ``budget`` caps the total
-    number of candidate evaluations.
+    number of candidate evaluations.  Inputs are uniform in [-b, b] with
+    b = min(1, ``target.bound``), and the targets are evaluated at ``tol``.
     """
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must be non-empty")
-    if input_generator is None:
-        bound = min(1.0, target.bound)
-
-        def input_generator(n, win, s):
-            return generate_uniform_inputs(n, win, bound=bound, seed=s)
-
-    train_inputs = input_generator(n_train, window, seed * 2 + 1)
-    test_inputs = input_generator(n_test, window, seed * 2 + 2)
-    train_targets = evaluate_batch(target, train_inputs)
-    test_targets = evaluate_batch(target, test_inputs)
+    bound = min(1.0, target.bound)
+    train_inputs = generate_uniform_inputs(n_train, window, bound=bound, seed=seed * 2 + 1)
+    test_inputs = generate_uniform_inputs(n_test, window, bound=bound, seed=seed * 2 + 2)
+    train_targets = evaluate_batch(target, train_inputs, tol)
+    test_targets = evaluate_batch(target, test_inputs, tol)
 
     rows: list = []
     best: TrainedModel | None = None

@@ -18,6 +18,7 @@ pass/fail coloring of ``verify``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .approximation import (
     _scaled_poly,
     approximate,
     generate_uniform_inputs,
-    sample_candidate,
     separation_witness,
     target_bounded_arma,
     target_finite_volterra,
@@ -54,7 +54,6 @@ from .polynomials import (
     is_nilpotent,
     norm_certificate,
     poly_derivative,
-    poly_direct_sum,
     poly_eval,
     poly_from_json,
     poly_kron,
@@ -65,7 +64,6 @@ from .sequences import (
     BoundedSequence,
     WeightingSequence,
     geometric_weighted_sum,
-    read_sequence,
     time_shift,
     weighted_distance,
     weighted_norm,
@@ -77,7 +75,6 @@ from .systems import (
     default_washout,
     esp_margin,
     evaluate_batch,
-    evaluate_filter,
     linear_run,
     sas_functional,
     sas_run_recursion,
@@ -103,17 +100,46 @@ def _load_text(path: str) -> str:
 def _load_json(path: str) -> dict:
     text = _load_text(path)
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"cannot parse {path}: the top level is not a JSON object")
+    return doc
 
 
-def _load_system(path: str):
-    doc = _load_json(path)
+def _load_system(source):
+    """A system from an inline JSON object, or from the JSON file at the path ``source``
+    (whose errors are reported with that path)."""
+    if isinstance(source, dict):
+        return system_from_json(source)
+    if not isinstance(source, str):
+        raise ValueError(f"a system is a file path or a JSON object, not {source!r}")
+    doc = _load_json(source)
     try:
         return system_from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"cannot parse system file {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CliError(f"cannot parse system file {source}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _config_errors(path: str):
+    """Report a config's missing key or malformed value as a parse error (exit 2)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CliError(f"cannot parse config {path}: missing {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"cannot parse config {path}: {exc}") from exc
+
+
+def _whole(value) -> int:
+    """A JSON whole number (``2`` or ``2.0``); anything else is a ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not a whole number")
+    return value
 
 
 def _load_sequence(path: str) -> BoundedSequence:
@@ -173,9 +199,8 @@ def _polynomial_from_file(path: str) -> MatrixPolynomial:
         if doc.get("type") == "sas":
             return poly_from_json(doc["p"])
         if doc.get("type") == "linear":
-            A = np.asarray(doc["A"], dtype=float)
-            return MatrixPolynomial.constant(A)
-    except (KeyError, ValueError) as exc:
+            return MatrixPolynomial.constant(doc["A"])
+    except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"cannot parse {path}: {exc}") from exc
     raise CliError(f"cannot parse {path}: neither a polynomial nor a system file")
 
@@ -256,7 +281,7 @@ def cmd_compose(args) -> int:
 
 
 def _target_from_config(doc: dict):
-    kind = doc.get("kind")
+    kind = doc["kind"]
     if kind == "finite_volterra":
         return target_finite_volterra(
             memory=int(doc["memory"]),
@@ -282,18 +307,14 @@ def _target_from_config(doc: dict):
             clip=float(doc["clip"]), bound=float(doc.get("bound", 1.0)),
         )
     if kind == "system":
-        system = system_from_json(doc["system"]) if isinstance(doc.get("system"), dict) \
-            else _load_system(doc["path"])
-        return TargetFilter(
-            name="system", bound=float(doc.get("bound", 1.0)),
-            fn=lambda z: evaluate_filter(system, z),
-        )
+        return TargetFilter(name="system", bound=float(doc.get("bound", 1.0)),
+                            fn=_load_system(doc["system"] if "system" in doc else doc["path"]))
     raise CliError(f"unknown target kind {kind!r}")
 
 
 def cmd_approximate(args) -> int:
     cfg = _load_json(args.config)
-    try:
+    with _config_errors(args.config):
         seed = int(cfg.get("seed", 0))
         target = _target_from_config(cfg["target"])
         schedule = []
@@ -306,29 +327,16 @@ def cmd_approximate(args) -> int:
                 eps=float(row.get("eps", 0.1)),
                 seed=int(row.get("seed", seed * 1009 + i)),
             ))
-        planted = [
-            system_from_json(doc) if isinstance(doc, dict) else _load_system(doc)
-            for doc in cfg.get("planted", [])
-        ]
-    except (KeyError, ValueError, TypeError) as exc:
-        if isinstance(exc, CliError):
-            raise
-        raise CliError(f"cannot parse config {args.config}: {exc}") from exc
+        planted = [_load_system(doc) for doc in cfg.get("planted", [])]
+        sizes = {key: _whole(cfg.get(key, default)) for key, default in
+                 (("n_train", 512), ("n_test", 128), ("window", 256), ("restarts", 8))}
+        optional = {key: None if cfg.get(key) is None else _whole(cfg[key])
+                    for key in ("readout_degree", "budget")}
+        lam_reg = float(cfg.get("lam_reg", 1e-6))
+        tol = float(cfg.get("tol", 1e-9))
 
-    result = approximate(
-        target,
-        schedule,
-        n_train=int(cfg.get("n_train", 512)),
-        n_test=int(cfg.get("n_test", 128)),
-        window=int(cfg.get("window", 256)),
-        restarts=int(cfg.get("restarts", 8)),
-        lam_reg=float(cfg.get("lam_reg", 1e-6)),
-        tol=float(cfg.get("tol", 1e-9)),
-        seed=seed,
-        readout_degree=cfg.get("readout_degree"),
-        budget=cfg.get("budget"),
-        planted=planted or None,
-    )
+    result = approximate(target, schedule, **sizes, **optional, lam_reg=lam_reg, tol=tol,
+                         seed=seed, planted=planted or None)
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.csv")
     _write_text(results_path, result.to_csv())
@@ -361,36 +369,20 @@ def cmd_approximate(args) -> int:
 # transfer
 
 
-def _filter_from_config(doc, label: str):
-    if isinstance(doc, str):
-        return _load_system(doc)
-    if isinstance(doc, dict) and doc.get("kind"):
-        return _target_from_config(doc)
-    if isinstance(doc, dict) and doc.get("type"):
-        try:
-            return system_from_json(doc)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"cannot parse inline {label} system: {exc}") from exc
-    raise CliError(f"config field {label!r} must be a file path, target, or system")
-
-
 def cmd_transfer(args) -> int:
     cfg = _load_json(args.config)
-    try:
+    with _config_errors(args.config):
         seed = int(cfg.get("seed", 0))
         desc = cfg["ensemble"]
         n_paths = int(cfg.get("n_paths", 64))
         window = int(cfg.get("window", 128))
-        target = _filter_from_config(cfg["target"], "target")
-        approx = _filter_from_config(cfg["approx"], "approx")
+        target, approx = (
+            _target_from_config(doc) if isinstance(doc, dict) and "kind" in doc
+            else _load_system(doc) for doc in (cfg["target"], cfg["approx"]))
         det_bound = cfg.get("deterministic_bound")
         det_bound = None if det_bound is None else float(det_bound)
         tol = float(cfg.get("tol", 1e-9))
         ensemble = generate_ensemble(desc, n_paths=n_paths, window=window, seed=seed)
-    except KeyError as exc:
-        raise CliError(f"cannot parse config {args.config}: missing {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"cannot parse config {args.config}: {exc}") from exc
     report = transfer_check(
         target, approx, ensemble, deterministic_bound=det_bound, tol=tol,
     )

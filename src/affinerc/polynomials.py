@@ -3,6 +3,10 @@
 ``MatrixPolynomial`` carries coefficients A_0..A_r of p(z) = A_0 + z A_1 + ... + z^r A_r
 with m x n real matrix coefficients.  All state-affine structure in this package is
 built from these through evaluation, products, direct sums and Kronecker products.
+Products and Kronecker products are one coefficient convolution (``_convolve``);
+direct sums, vertical stacks, the derivative tower below and the block-triangular
+realization of SAS products are one block assembler (``_assemble``) that lays
+polynomials out on a grid of row and column blocks.
 
 ``norm_certificate`` produces sound two-sided estimates of M_p = sup_{|z|<=1} ||p(z)||_2:
 a grid lower bound (up to the rounding of its norms) and an upper bound combining the
@@ -23,7 +27,6 @@ norm.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,62 +183,52 @@ def poly_eval(p: MatrixPolynomial, z) -> np.ndarray:
     return acc
 
 
+def _convolve(a: MatrixPolynomial, b: MatrixPolynomial, rows: int, cols: int,
+              product) -> MatrixPolynomial:
+    """Coefficient convolution: degree d is sum_{i+j=d} product(A_i, B_j), summed in
+    the order of i (a zero factor leaves zeros, which the canonical form strips)."""
+    out = [np.zeros((rows, cols)) for _ in range(a.degree + b.degree + 1)]
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + product(ai, bj)
+    return MatrixPolynomial(rows=rows, cols=cols, coeffs=tuple(out))
+
+
 def poly_mul(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient convolution; pointwise it is the matrix product a(z) b(z)."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: ({a.rows},{a.cols}) @ ({b.rows},{b.cols})")
-    if not a.coeffs or not b.coeffs:
-        return MatrixPolynomial.zero(a.rows, b.cols)
-    out = [np.zeros((a.rows, b.cols)) for _ in range(a.degree + b.degree + 1)]
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + ai @ bj
-    return MatrixPolynomial(rows=a.rows, cols=b.cols, coeffs=tuple(out))
+    return _convolve(a, b, a.rows, b.cols, np.matmul)
 
 
-def _padded(p: MatrixPolynomial, upto: int):
-    return [p.coeff(i) for i in range(upto + 1)]
+def poly_kron(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
+    """Kronecker product: coefficient at degree d is sum_{i+j=d} kron(A_i, B_j)."""
+    return _convolve(a, b, a.rows * b.rows, a.cols * b.cols, np.kron)
+
+
+def _assemble(blocks: dict, row_sizes, col_sizes) -> MatrixPolynomial:
+    """The block polynomial whose (i, j) block is ``blocks[(i, j)]`` on the grid of
+    ``row_sizes`` x ``col_sizes``; absent blocks are zero, and each block's shape
+    must match its grid cell."""
+    r0, c0 = np.cumsum([0, *row_sizes]).tolist(), np.cumsum([0, *col_sizes]).tolist()
+    deg = max((b.degree for b in blocks.values()), default=-1)
+    out = np.zeros((deg + 1, r0[-1], c0[-1]))
+    for (i, j), b in blocks.items():
+        if b.coeffs:
+            out[: b.degree + 1, r0[i] : r0[i + 1], c0[j] : c0[j + 1]] = b.coeffs
+    return MatrixPolynomial(rows=r0[-1], cols=c0[-1], coeffs=tuple(out))
 
 
 def poly_direct_sum(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise block diagonal; the shorter coefficient list is zero-padded."""
-    deg = max(a.degree, b.degree)
-    rows, cols = a.rows + b.rows, a.cols + b.cols
-    if deg < 0:
-        return MatrixPolynomial.zero(rows, cols)
-    out = []
-    for ai, bi in zip(_padded(a, deg), _padded(b, deg)):
-        blk = np.zeros((rows, cols))
-        blk[: a.rows, : a.cols] = ai
-        blk[a.rows :, a.cols :] = bi
-        out.append(blk)
-    return MatrixPolynomial(rows=rows, cols=cols, coeffs=tuple(out))
+    return _assemble({(0, 0): a, (1, 1): b}, (a.rows, b.rows), (a.cols, b.cols))
 
 
 def poly_vstack(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise vertical stack [a; b]; shapes must share the column count."""
     if a.cols != b.cols:
         raise ValueError("vstack needs equal column counts")
-    deg = max(a.degree, b.degree)
-    rows = a.rows + b.rows
-    if deg < 0:
-        return MatrixPolynomial.zero(rows, a.cols)
-    out = [
-        np.vstack([ai, bi]) for ai, bi in zip(_padded(a, deg), _padded(b, deg))
-    ]
-    return MatrixPolynomial(rows=rows, cols=a.cols, coeffs=tuple(out))
-
-
-def poly_kron(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
-    """Kronecker product: coefficient at degree d is sum_{i+j=d} kron(A_i, B_j)."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    if not a.coeffs or not b.coeffs:
-        return MatrixPolynomial.zero(rows, cols)
-    out = [np.zeros((rows, cols)) for _ in range(a.degree + b.degree + 1)]
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + np.kron(ai, bj)
-    return MatrixPolynomial(rows=rows, cols=cols, coeffs=tuple(out))
+    return _assemble({(0, 0): a, (1, 0): b}, (a.rows, b.rows), (a.cols,))
 
 
 def poly_derivative(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -297,7 +290,8 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     levels = [p]
     for _ in range(p.degree):
         levels.append(poly_derivative(levels[-1]))
-    tower = functools.reduce(poly_vstack, levels)
+    tower = _assemble({(k, 0): level for k, level in enumerate(levels)},
+                      [p.rows] * len(levels), [p.cols])
     shape = (-1, len(levels), p.rows, p.cols)
     # blocks of grid points keep the evaluated tower small: held whole it is a
     # (G, L m, n) array, 9 MB for m = n = 12, degree 3 and step 1e-3

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,8 +252,7 @@ def time_shift(z: BoundedSequence, tau: int) -> BoundedSequence:
         raise ValueError("tau must be >= 0 (causal shift into the past)")
     if tau == 0:
         return z
-    T = z.length
-    shifted = np.stack([z.entry(T - 1 - i + tau) for i in range(T)], axis=0)
+    shifted = z.values_newest_first(z.length + tau)[::-1][: z.length]
     return BoundedSequence(window=shifted, bound=z.bound, extension=z.extension)
 
 

@@ -51,6 +51,7 @@ from .polynomials import (
     ScalarPolynomial,
     _poly_values,
     _spectral_norms,
+    is_nilpotent,
     norm_certificate,
     poly_from_json,
     poly_to_json,
@@ -172,12 +173,6 @@ class SASSystem:
         """Certified upper bound of sup ||q(z)||_2."""
         return self.q_cert.M_p_upper
 
-    def with_readout(self, W) -> "SASSystem":
-        return SASSystem(
-            p=self.p, q=self.q, W=_readout_vector(W, self.N), eps=self.eps,
-            p_cert=self.p_cert, q_cert=self.q_cert,
-        )
-
 
 def _readout_vector(W, N: int) -> np.ndarray:
     W = np.asarray(W, dtype=float).ravel()
@@ -220,14 +215,14 @@ class LinearSystem:
             raise ValueError("margin eps must lie in (0, 1)")
         sigma = spectral_norm(A)
         diagonal = bool(np.all(A == np.diag(np.diagonal(A))))
-        nilpotent, index = _nilpotency_of_matrix(A)
-        if not nilpotent and not sigma < 1.0 - eps:
+        nil = is_nilpotent(MatrixPolynomial.constant(A))
+        if not nil.nilpotent and not sigma < 1.0 - eps:
             raise ValueError(
                 f"sigma_max(A) = {sigma:.6g} is not below 1 - eps = {1.0 - eps:.6g}"
             )
         return cls(
             A=A, c=c, h=h, eps=eps, sigma=sigma,
-            diagonal=diagonal, nilpotent=nilpotent, nilpotency_index=index,
+            diagonal=diagonal, nilpotent=nil.nilpotent, nilpotency_index=nil.index,
         )
 
     @property
@@ -237,24 +232,6 @@ class LinearSystem:
     @property
     def input_dim(self) -> int:
         return self.c.shape[1]
-
-    def with_readout(self, h: ScalarPolynomial) -> "LinearSystem":
-        if h.arity != self.N:
-            raise ValueError("readout arity must equal the state dimension")
-        return LinearSystem(
-            A=self.A, c=self.c, h=h, eps=self.eps, sigma=self.sigma,
-            diagonal=self.diagonal, nilpotent=self.nilpotent,
-            nilpotency_index=self.nilpotency_index,
-        )
-
-
-def _nilpotency_of_matrix(A: np.ndarray, tol: float = 0.0) -> tuple[bool, int | None]:
-    power = np.array(A)
-    for k in range(1, A.shape[0] + 1):
-        if np.max(np.abs(power)) <= tol:
-            return True, k
-        power = power @ A
-    return False, None
 
 
 # ---------------------------------------------------------------------------------

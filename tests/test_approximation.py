@@ -299,6 +299,23 @@ def test_self_target_error_is_truncation_sized():
     assert err.value <= 1e-7
 
 
+def test_filter_target_is_evaluated_in_one_batch_at_the_callers_tol():
+    from affinerc import ScalarPolynomial, evaluate_batch, target_linear_iir
+
+    rng = np.random.default_rng(16)
+    A = 0.9 * np.linalg.qr(rng.standard_normal((4, 4)))[0]  # slow forgetting
+    target = target_linear_iir(A, rng.standard_normal((4, 1)),
+                               ScalarPolynomial.linear_form(rng.standard_normal(4)))
+    s = small_sas(seed=16)
+    inputs = generate_uniform_inputs(12, window=300, seed=8)
+    for tol in (1e-3, 1e-12):
+        for fn in (target.fn, s):
+            values = TargetFilter(name="f", bound=1.0, fn=fn).evaluate_batch(inputs, tol)
+            np.testing.assert_array_equal(values, evaluate_batch(fn, inputs, tol))
+    coarse, fine = (evaluate_batch(target, inputs, tol) for tol in (1e-3, 1e-12))
+    assert not np.array_equal(coarse, fine)
+
+
 def test_nan_difference_propagates_to_sup_error():
     s = small_sas(seed=15)
     target = TargetFilter(name="gap", bound=1.0,
@@ -308,7 +325,8 @@ def test_nan_difference_propagates_to_sup_error():
 
 
 def test_zero_target_zero_readout():
-    s = small_sas(seed=15).with_readout(np.zeros(3))
+    s = small_sas(seed=15)
+    s = SASSystem.create(s.p, s.q, np.zeros(3), eps=s.eps)
     target = TargetFilter(name="null", bound=1.0, fn=lambda z: 0.0)
     err = sup_error(s, target, generate_uniform_inputs(5, window=40, seed=7))
     assert err.value == 0.0

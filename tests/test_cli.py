@@ -410,6 +410,9 @@ def test_transfer_bad_config_value_exits_2(tmp_path, capsys, key, value):
     assert "cannot parse config" in capsys.readouterr().err
 
 
+TANH_TARGET = {"kind": "tanh_of_linear", "weights": [0.5, -0.2]}
+
+
 @pytest.mark.parametrize("command,edit", [
     ("transfer", {"ensemble": {"kind": "iid_uniform", "bound": float("nan")}}),
     ("transfer", {"ensemble": {"kind": "iid_uniform", "bound": float("inf")}}),
@@ -420,8 +423,11 @@ def test_transfer_bad_config_value_exits_2(tmp_path, capsys, key, value):
     ("transfer", {"ensemble": "iid_uniform"}),
     ("approximate", {"target": {"kind": "finite_volterra", "memory": 2,
                                 "k1": [0.5, float("nan")]}}),
+    ("approximate", {"target": TANH_TARGET, "readout_degree": "2"}),
+    ("approximate", {"target": TANH_TARGET, "n_train": "many"}),
+    ("approximate", {"target": TANH_TARGET, "budget": 1.5}),
 ], ids=["bound-nan", "bound-inf", "unknown-kind", "phi-nan", "phi-text", "no-paths",
-        "ensemble-text", "volterra-nan"])
+        "ensemble-text", "volterra-nan", "degree-text", "n-train-text", "budget-fraction"])
 def test_bad_experiment_config_exits_2(tmp_path, capsys, command, edit):
     s = system_to_json(small_sas(seed=13))
     if command == "transfer":
@@ -435,6 +441,36 @@ def test_bad_experiment_config_exits_2(tmp_path, capsys, command, edit):
     assert main(argv + (["--out-dir", str(tmp_path)] if command == "approximate" else [])) == 2
     err = capsys.readouterr().err
     assert "cannot parse config" in err and "Traceback" not in err
+
+
+def _malformed_json(tmp_path, case):
+    """A JSON file that parses but is no polynomial, system or config."""
+    if case == "top-list":
+        return write_json(tmp_path / "bad.json", [1, 2])
+    if case == "p-list":
+        doc = system_to_json(small_sas(seed=4))
+        doc["p"] = [1]
+    else:  # an exponent that is not a tuple
+        doc = {"type": "linear", "A": [[0.5]], "c": [[1.0]], "eps": 0.1,
+               "h": {"arity": 1, "terms": [{"alpha": 1, "coeff": 1.0}]}}
+    return write_json(tmp_path / "bad.json", doc)
+
+
+@pytest.mark.parametrize("command,case", [
+    ("certify", "top-list"), ("simulate", "top-list"), ("compose", "top-list"),
+    ("approximate", "top-list"), ("transfer", "top-list"),
+    ("certify", "p-list"), ("simulate", "p-list"), ("compose", "alpha-int"),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, command, case):
+    bad = _malformed_json(tmp_path, case)
+    in_path, _ = write_input(tmp_path / "z.csv", 8)
+    out = str(tmp_path / "out")
+    argv = {"certify": [bad], "simulate": [bad, in_path, "-o", out],
+            "compose": [bad, bad, "--mode", "sum", "-o", out],
+            "approximate": [bad, "--out-dir", out], "transfer": [bad]}[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "Traceback" not in err
 
 
 def test_each_polynomial_is_certified_once(tmp_path, monkeypatch):

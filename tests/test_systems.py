@@ -194,7 +194,7 @@ def test_series_tolerance_validation():
 def test_zero_readout_functional_vanishes():
     rng = np.random.default_rng(10)
     s = random_sas(rng)
-    s0 = s.with_readout(np.zeros(s.N))
+    s0 = SASSystem.create(s.p, s.q, np.zeros(s.N), eps=s.eps)
     for _ in range(5):
         assert sas_functional(s0, random_input(rng)) == 0.0
 
@@ -437,8 +437,6 @@ def test_sas_rejects_non_finite_readout():
         W[-1] = bad
         with pytest.raises(ValueError, match="finite"):
             SASSystem.create(p, q, W, eps=s.eps)
-        with pytest.raises(ValueError, match="finite"):
-            s.with_readout(W)
 
 
 def test_sas_construction_guard():
@@ -454,7 +452,8 @@ def test_sas_construction_guard():
 
 def test_fmp_zero_readout():
     rng = np.random.default_rng(25)
-    s = random_sas(rng).with_readout(np.zeros(3))
+    s = random_sas(rng)
+    s = SASSystem.create(s.p, s.q, np.zeros(3), eps=s.eps)
     assert fmp_lipschitz_constant(s, rho=0.5) == 0.0
     assert sas_functional(s, random_input(rng)) == 0.0
 
@@ -542,8 +541,8 @@ def _batch_filter(kind):
     if kind.startswith("sas"):
         return sample_candidate(FamilySpec("SAS_eps", N=int(kind[3:]), seed=3))
     quad = {a: float(rng.standard_normal()) for a in monomial_exponents(6, 2)}
-    linear = sample_candidate(FamilySpec("L_eps", N=6, seed=4)).with_readout(
-        ScalarPolynomial.from_terms(6, quad))
+    base = sample_candidate(FamilySpec("L_eps", N=6, seed=4))
+    linear = LinearSystem.create(base.A, base.c, ScalarPolynomial.from_terms(6, quad), base.eps)
     if kind == "linear":
         return linear
     sas12 = sample_candidate(FamilySpec("SAS_eps", N=12, seed=5))
