@@ -133,12 +133,15 @@ def _config_errors(path: str):
         raise CliError(f"cannot parse config {path}: {exc}") from exc
 
 
-def _whole(value) -> int:
-    """A JSON whole number (``2`` or ``2.0``); anything else is a ValueError."""
+def _count(value) -> int:
+    """A JSON whole number of at least 1 (``2`` or ``2.0``); anything else is a
+    ValueError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not a whole number")
+    if value < 1:
+        raise ValueError(f"{value!r} is below 1")
     return value
 
 
@@ -219,6 +222,7 @@ def cmd_certify(args) -> int:
         "M_p_upper": cert.M_p_upper,
         "M_pprime": cert.M_pprime,
         "grid_step": cert.grid_step,
+        "evaluations": cert.evaluations,
         "lam": args.lam,
         "cond_i": report.cond_i,
         "cond_ii": report.cond_ii,
@@ -328,9 +332,9 @@ def cmd_approximate(args) -> int:
                 seed=int(row.get("seed", seed * 1009 + i)),
             ))
         planted = [_load_system(doc) for doc in cfg.get("planted", [])]
-        sizes = {key: _whole(cfg.get(key, default)) for key, default in
+        sizes = {key: _count(cfg.get(key, default)) for key, default in
                  (("n_train", 512), ("n_test", 128), ("window", 256), ("restarts", 8))}
-        optional = {key: None if cfg.get(key) is None else _whole(cfg[key])
+        optional = {key: None if cfg.get(key) is None else _count(cfg[key])
                     for key in ("readout_degree", "budget")}
         lam_reg = float(cfg.get("lam_reg", 1e-6))
         tol = float(cfg.get("tol", 1e-9))
@@ -465,10 +469,13 @@ def _check_polynomials(seed: int):
         p = MatrixPolynomial.from_coeffs(
             [rng.standard_normal((m, m)) for _ in range(deg + 1)], rows=m, cols=m
         )
-        cert = norm_certificate(p, grid_step=0.02)
+        rep = check_conditions(p, 0.45, grid_step=0.02)
+        cert = rep.certificate
         if not (cert.M_p_lower <= cert.M_p_upper <= cert.B_p + 1e-9):
             return False, "certificate ordering violated"
-        rep = check_conditions(p, 0.45, grid_step=0.02)
+        # an upper bound that only repeated its own grid maximum would fail here
+        if cert.M_p_upper < norm_certificate(p, grid_step=0.005).M_p_lower * (1 - 1e-12):
+            return False, "upper bound below a finer grid's lower bound"
         if rep.cond_i and not rep.cond_ii:
             return False, "condition chain i => ii violated"
         if rep.cond_ii and not rep.cond_iii:

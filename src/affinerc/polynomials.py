@@ -15,14 +15,25 @@ B_p = sum_i ||A_i||_2 (a certified upper bound on [-1, 1] in its own right).  Th
 slack needs a bound on sup ||p'||, which is obtained by the same grid device applied
 down the (finite) derivative tower, each level capped by its own coefficient-norm sum.
 
-The whole certificate is one pass: the tower p, p', ..., p^(deg) is stacked into one
-polynomial, evaluated by Horner's scheme on blocks of grid points with one batched
-spectral-norm call per block, its coefficients take one more call, and the level
-bounds are folded from the constant bottom level up.  Every spectral norm is LAPACK's largest singular value rounded up by a
+The tower p, p', ..., p^(deg) is stacked into one polynomial, evaluated by Horner's
+scheme on blocks of grid points with one batched spectral-norm call per block; its
+coefficients take one more call, and the level bounds are folded from the constant
+bottom level up.  Every spectral norm is LAPACK's largest singular value rounded up by a
 relative factor derived from LAPACK's error bound (``_SVD_REL_ERR``, below 1e-12 up
 to 500 x 500), and coefficient-norm sums are rounded toward +inf, so each norm and
 each sum is an upper bound under floating point; 1 x 1 matrices get their exact
 norm.
+
+Each level's grid maximum is the maximum over every grid point, but most points
+take no SVD.  A coarse pass evaluates every 16th point and both endpoints.  Between
+coarse neighbours a < b, level k's norm is Lipschitz with constant at most the next
+level's coefficient-norm sum b_{k+1}, so no point inside can exceed the envelope
+(F(a) + F(b) + (b - a) b_{k+1}) / 2; the inside points are evaluated only where
+that envelope, widened by explicit margins for the Horner error at both ends and the
+SVD's rounding factor, can still beat the coarse maximum.  The constant top level
+takes one point.  A skipped point's computed norm therefore cannot exceed the
+computed maximum (the proof is in ``norm_certificate``), and the certificate is the
+full grid's, bit for bit.
 """
 
 from __future__ import annotations
@@ -247,13 +258,16 @@ def poly_derivative(p: MatrixPolynomial) -> MatrixPolynomial:
 class NormCertificate:
     """Two-sided bounds on M_p = sup_{|z|<=1} ||p(z)||_2.
 
-    B_p        -- sum of coefficient spectral norms; certified upper bound on I.
-    M_p_lower  -- grid maximum of ||p(z)||_2, each norm rounded up by the SVD factor
-                  (``_SVD_REL_ERR``), so a lower bound of M_p up to that factor.
-    M_p_upper  -- grid maximum plus Mean-Value-Inequality slack, capped by B_p but
-                  never below M_p_lower; a certified upper bound of M_p.
-    M_pprime   -- sqrt(rows) * certified upper bound of sup ||p'(z)||_2.
-    grid_step  -- the actual grid spacing used.
+    B_p         -- sum of coefficient spectral norms; certified upper bound on I.
+    M_p_lower   -- grid maximum of ||p(z)||_2, each norm rounded up by the SVD factor
+                   (``_SVD_REL_ERR``), so a lower bound of M_p up to that factor.
+    M_p_upper   -- grid maximum plus Mean-Value-Inequality slack, capped by B_p but
+                   never below M_p_lower; a certified upper bound of M_p.
+    M_pprime    -- sqrt(rows) * certified upper bound of sup ||p'(z)||_2.
+    grid_step   -- the actual grid spacing used.
+    evaluations -- the number of (grid point, tower level) spectral norms computed,
+                   coefficients excluded: at most (grid points) x (degree + 1), fewer
+                   by every point the Lipschitz envelope rules out.
     """
 
     B_p: float
@@ -261,9 +275,25 @@ class NormCertificate:
     M_p_upper: float
     M_pprime: float
     grid_step: float
+    evaluations: int
 
 
 _GRID_BLOCK = 256
+# the coarse pass of ``norm_certificate`` takes every _COARSE-th grid point and both ends
+_COARSE = 16
+
+
+def _grid_norms(tower: MatrixPolynomial, zs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The (len(zs), L) spectral norms of the tower's L levels at the points ``zs``,
+    computed where ``mask`` is set and 0.0 elsewhere.  Points go in blocks of at most
+    ``_GRID_BLOCK``: held whole, the evaluated tower is a (G, L m, n) array, 9 MB for
+    m = n = 12, degree 3 and 2,001 points."""
+    out = np.zeros(mask.shape)
+    for lo in range(0, len(zs), _GRID_BLOCK):
+        rows = slice(lo, lo + _GRID_BLOCK)
+        vals = poly_eval(tower, zs[rows]).reshape(*mask[rows].shape, -1, tower.cols)
+        out[rows][mask[rows]] = _spectral_norms(vals[mask[rows]])
+    return out
 
 
 def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertificate:
@@ -272,11 +302,49 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     ``grid_step`` must lie in (0, 1]; the grid always includes both endpoints and the
     realized spacing (recorded in the certificate) never exceeds the request.  The
     tower p, p', ..., p^(deg) is stacked into one (L m) x n polynomial, so each Horner
-    sweep evaluates every level on a block of grid points.  Level k is bounded by
+    sweep evaluates every level at once.  Level k is bounded by
     ``u_k = max(min(g_k + step/2 * sqrt(m n) * u_{k+1}, b_k), g_k)`` from its grid
     maximum g_k and coefficient-norm sum b_k (summed toward +inf), bottom (constant)
     level first.  The ``max`` keeps the bound from dipping below the grid maximum,
     whose Horner values round differently from b_k.
+
+    Each g_k is the maximum of the computed norms F_k(z) over the whole grid, but an
+    SVD is taken only where it can change that maximum:
+
+    1. Coarse pass: F_k at every ``_COARSE``-th grid point and both endpoints, for
+       every level but the constant top one, which takes its first point only (its
+       Horner value is the same matrix at every z, so is its norm).  G_k is the
+       maximum found.
+    2. Envelope test: between coarse neighbours a < b, level k < top is refined
+       unless ``E (1 + rel) + 4 h_k <= G_k``, where
+       ``E = (F_k(a) + F_k(b) + (b - a) b_{k+1}) / 2``, ``rel = 2 c + (sqrt(r) + 8)
+       eps`` and ``h_k = (deg + 1) eps sqrt(r) b_k``, with ``c = _SVD_REL_ERR max(m, n)``,
+       ``r = min(m, n)`` and eps the machine epsilon (u = eps / 2).
+    3. Refine pass: F_k at the interior points of every refined (interval, level)
+       pair, in blocks of at most ``_GRID_BLOCK`` points.
+
+    Why a skipped point z in (a, b) has F_k(z) <= G_k.  Let f(z) = ||P(z)||_2 for the
+    stored level-k polynomial P = sum_j C_j z^j, exactly.
+
+    - Lipschitz envelope: ||P(z) - P(y)|| <= |z - y| sup ||P'|| and
+      sup ||P'|| <= L = sum_j j ||C_j||_2.  Level k+1 stores fl(j C_j), off by at
+      most eps |fl(j C_j)| per entry, so L <= (1 + eps sqrt(r)) b_{k+1} (the
+      Frobenius norm of an m x n matrix is at most sqrt(r) times its 2-norm).  The
+      cones from a and b meet no higher than (f(a) + f(b) + (b - a) L) / 2.
+    - Horner: the computed matrix is within h_k of P(z) in the 2-norm, as the
+      entrywise bound gamma_{2 deg} sum_j |C_j| |z|^j (Higham, *Accuracy and
+      Stability*, section 5.1), |z| <= 1, is at most (deg + 1) eps sqrt(r) b_k.
+    - SVD: a computed norm is an upper bound of its matrix's norm and at most
+      (1 + 2 c) times it (see ``_SVD_REL_ERR``); 1 x 1 norms are exact.  So
+      f(a) <= F_k(a) + h_k, likewise at b, and F_k(z) <= (1 + 2 c)(f(z) + h_k).
+
+    Together F_k(z) <= (1 + 2 c)(1 + eps sqrt(r))(E' + 2 h_k), with E' the value of
+    E in exact arithmetic.  The float E is four roundings from E', so
+    E' <= (1 + 2 eps) E to first order; the test's own three roundings cost at most
+    2 eps more, which leaves ``rel`` 4 eps for the second-order terms, and 4 h_k
+    covers 2 (1 + 2 c)(1 + eps sqrt(r)) h_k.  Hence F_k(z) <= G_k: the maximum is
+    unchanged, and every field but ``evaluations`` equals that of the full-grid pass
+    bit for bit.
     """
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
@@ -285,20 +353,36 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     step = 2.0 / (npts - 1)
     if not p.coeffs:
         return NormCertificate(B_p=0.0, M_p_lower=0.0, M_p_upper=0.0, M_pprime=0.0,
-                               grid_step=step)
+                               grid_step=step, evaluations=0)
 
     levels = [p]
     for _ in range(p.degree):
         levels.append(poly_derivative(levels[-1]))
+    top = p.degree
     tower = _assemble({(k, 0): level for k, level in enumerate(levels)},
                       [p.rows] * len(levels), [p.cols])
-    shape = (-1, len(levels), p.rows, p.cols)
-    # blocks of grid points keep the evaluated tower small: held whole it is a
-    # (G, L m, n) array, 9 MB for m = n = 12, degree 3 and step 1e-3
-    g = np.max([_spectral_norms(poly_eval(tower, zs).reshape(shape)).max(axis=0)
-                for zs in np.array_split(grid, -(-npts // _GRID_BLOCK))], axis=0).tolist()
-    coeff_norms = _spectral_norms(np.reshape(tower.coeffs, shape))
+    coeff_norms = _spectral_norms(np.reshape(tower.coeffs, (-1, len(levels), p.rows, p.cols)))
     b = [_upward_sum(level) for level in coeff_norms.T.tolist()]
+
+    coarse = np.r_[0:npts - 1:_COARSE, npts - 1]
+    at_coarse = np.ones((len(coarse), len(levels)), dtype=bool)
+    at_coarse[1:, top] = False
+    f = _grid_norms(tower, grid[coarse], at_coarse)
+    g = f.max(axis=0)
+
+    r = min(p.rows, p.cols)
+    eps = np.finfo(float).eps
+    rel = 2.0 * _SVD_REL_ERR * max(p.rows, p.cols) + (math.sqrt(r) + 8.0) * eps
+    horner = 4.0 * (p.degree + 1) * eps * math.sqrt(r) * np.asarray(b[:top])
+    envelope = 0.5 * (f[:-1, :top] + f[1:, :top] + np.diff(grid[coarse])[:, None] * b[1:])
+    refine = envelope * (1.0 + rel) + horner > g[:top]
+    todo = np.zeros((npts, len(levels)), dtype=bool)
+    todo[:-1, :top] = np.repeat(refine, np.diff(coarse), axis=0)
+    todo[coarse] = False
+    points = np.flatnonzero(todo.any(axis=1))
+    refined = _grid_norms(tower, grid[points], todo[points]).max(axis=0, initial=0.0)
+    g = np.maximum(g, refined).tolist()
+
     slack = 0.5 * step * math.sqrt(p.rows * p.cols)
     u = [0.0] * (len(levels) + 1)
     for k in reversed(range(len(levels))):
@@ -309,6 +393,7 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
         M_p_upper=u[0],
         M_pprime=math.sqrt(p.rows) * u[1],
         grid_step=step,
+        evaluations=int(at_coarse.sum() + todo.sum()),
     )
 
 

@@ -150,6 +150,7 @@ def test_certify_json_matches_library(tmp_path):
     assert doc["M_p_lower"] == cert.M_p_lower
     assert doc["M_p_upper"] == cert.M_p_upper
     assert doc["M_pprime"] == cert.M_pprime
+    assert doc["evaluations"] == cert.evaluations
     assert doc["rows"] == 3 and doc["cols"] == 3 and doc["degree"] == 2
 
 
@@ -426,8 +427,17 @@ TANH_TARGET = {"kind": "tanh_of_linear", "weights": [0.5, -0.2]}
     ("approximate", {"target": TANH_TARGET, "readout_degree": "2"}),
     ("approximate", {"target": TANH_TARGET, "n_train": "many"}),
     ("approximate", {"target": TANH_TARGET, "budget": 1.5}),
+    ("approximate", {"target": TANH_TARGET, "readout_degree": 0}),
+    ("approximate", {"target": TANH_TARGET, "readout_degree": -1}),
+    ("approximate", {"target": TANH_TARGET, "budget": -1}),
+    ("approximate", {"target": TANH_TARGET, "n_train": 0}),
+    ("approximate", {"target": TANH_TARGET, "n_test": 0}),
+    ("approximate", {"target": TANH_TARGET, "window": 0}),
+    ("approximate", {"target": TANH_TARGET, "restarts": 0}),
 ], ids=["bound-nan", "bound-inf", "unknown-kind", "phi-nan", "phi-text", "no-paths",
-        "ensemble-text", "volterra-nan", "degree-text", "n-train-text", "budget-fraction"])
+        "ensemble-text", "volterra-nan", "degree-text", "n-train-text", "budget-fraction",
+        "degree-zero", "degree-negative", "budget-negative", "no-train", "no-test",
+        "no-window", "no-restarts"])
 def test_bad_experiment_config_exits_2(tmp_path, capsys, command, edit):
     s = system_to_json(small_sas(seed=13))
     if command == "transfer":

@@ -1,6 +1,7 @@
 """Unit tests for matrix polynomials, readout polynomials and norm certificates."""
 
 import json
+import math
 import unittest
 
 import numpy as np
@@ -27,6 +28,7 @@ from affinerc import (
     scalar_poly_to_json,
     spectral_norm,
 )
+from affinerc.polynomials import _assemble, _spectral_norms, _upward_sum
 
 
 def random_poly(rng, rows, cols, deg, scale=1.0):
@@ -499,6 +501,89 @@ def test_certified_bounds_are_sound_against_mpmath():
             lin = LinearSystem.create(p_coeffs[0] / 8, np.ones(n),
                                       ScalarPolynomial.coordinate(n, 0), eps=0.1)
             assert lin.sigma >= sigma1(p_terms[:1]) / 8
+
+def full_grid_certificate(p, grid_step):
+    """(B_p, M_p_lower, M_p_upper, M_pprime, grid_step) from a spectral norm at every
+    grid point on every tower level, on 256-point blocks: the reference the pruned
+    passes of ``norm_certificate`` must reproduce bit for bit."""
+    npts = int(math.ceil(2.0 / grid_step)) + 1
+    grid = np.linspace(-1.0, 1.0, npts)
+    step = 2.0 / (npts - 1)
+    if not p.coeffs:
+        return (0.0, 0.0, 0.0, 0.0, step)
+    levels = [p]
+    for _ in range(p.degree):
+        levels.append(poly_derivative(levels[-1]))
+    tower = _assemble({(k, 0): level for k, level in enumerate(levels)},
+                      [p.rows] * len(levels), [p.cols])
+    shape = (-1, len(levels), p.rows, p.cols)
+    g = np.max([_spectral_norms(poly_eval(tower, zs).reshape(shape)).max(axis=0)
+                for zs in np.array_split(grid, -(-npts // 256))], axis=0).tolist()
+    coeff_norms = _spectral_norms(np.reshape(tower.coeffs, shape))
+    b = [_upward_sum(level) for level in coeff_norms.T.tolist()]
+    slack = 0.5 * step * math.sqrt(p.rows * p.cols)
+    u = [0.0] * (len(levels) + 1)
+    for k in reversed(range(len(levels))):
+        u[k] = max(min(g[k] + slack * u[k + 1], b[k]), g[k])
+    return (b[0], g[0], u[0], math.sqrt(p.rows) * u[1], step)
+
+
+def _oracle_case(rng, i):
+    """The i-th polynomial of the pruning sweep: plain Gaussian, exactly tied top
+    singular pairs, a peak at z = 0, constant norm, or a zero middle coefficient;
+    shapes 1 x n, m x 1 and m x n; scales 1e-8 to 1e8."""
+    m, n = (int(k) for k in rng.integers(1, 7, size=2))
+    m, n = ((1, n), (m, 1), (m, n))[i % 3]
+    deg = int(rng.integers(0, 5))
+    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+    coeffs = [scale * rng.standard_normal((m, n)) for _ in range(deg + 1)]
+    kind = i % 5
+    if kind == 1:  # every coefficient has a tied top pair
+        k = min(m, n)
+        for j in range(deg + 1):
+            u = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :k]
+            v = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+            s = np.sort(rng.uniform(0.1, 1.0, size=k))[::-1]
+            s[1:2] = s[0]
+            coeffs[j] = scale * (u * s) @ v.T
+    elif kind == 2:  # a(1 - z^2) plus a small perturbation peaks inside I
+        coeffs = [coeffs[0], 1e-3 * coeffs[1 % len(coeffs)], -coeffs[0]]
+    elif kind == 3:  # ||diag(c, c z, ..., c z^j)|| = |c| on all of I
+        k = min(m, n, deg + 1)
+        coeffs = [np.zeros((m, n)) for _ in range(k)]
+        for j in range(k):
+            coeffs[j][j, j] = 0.5 * scale
+    elif kind == 4 and deg >= 2:
+        coeffs[1] = np.zeros((m, n))
+    return MatrixPolynomial.from_coeffs(coeffs, rows=m, cols=n)
+
+
+def test_pruned_certificate_is_bit_identical_to_the_full_grid():
+    """The envelope test only skips points whose norm cannot reach the coarse
+    maximum, so every field but ``evaluations`` equals the full-grid pass exactly."""
+    rng = np.random.default_rng(90)
+    steps = (1.0, 0.25, 0.0137, 1e-3)
+    cases = [(MatrixPolynomial.from_coeffs([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]),
+              step) for step in steps]
+    cases += [(_oracle_case(rng, i), steps[i % 4]) for i in range(1000)]
+    for p, step in cases:
+        cert = norm_certificate(p, grid_step=step)
+        want = full_grid_certificate(p, step)
+        assert (cert.B_p, cert.M_p_lower, cert.M_p_upper, cert.M_pprime,
+                cert.grid_step) == want, (p, step)
+        npts = int(math.ceil(2.0 / step)) + 1
+        assert 1 <= cert.evaluations <= npts * (p.degree + 1)
+
+
+def test_certificate_prunes_most_evaluations():
+    """A 12 x 12 degree-3 certificate at step 1e-3 needs under a quarter of the
+    full grid's 4 x 2001 spectral norms."""
+    p = random_poly(np.random.default_rng(91), 12, 12, deg=3, scale=0.3)
+    cert = norm_certificate(p, grid_step=1e-3)
+    assert cert.evaluations <= 0.25 * 4 * 2001
+    assert (cert.B_p, cert.M_p_lower, cert.M_p_upper, cert.M_pprime,
+            cert.grid_step) == full_grid_certificate(p, 1e-3)
+
 
 if __name__ == "__main__":
     unittest.main()
