@@ -35,6 +35,7 @@ from .sequences import BoundedSequence, _finite
 from .systems import (
     LinearSystem,
     SASSystem,
+    _geometric_terms,
     _rowwise,
     _terminal_states,
     evaluate_batch,
@@ -73,8 +74,9 @@ __all__ = [
 class TargetFilter:
     """Causal, time-invariant functional with a declared input bound.
 
-    ``fn`` is either an opaque one-input function ``BoundedSequence -> float`` or a
-    filter (a system or anything :func:`evaluate_batch` takes).
+    ``fn`` is a filter (a system or anything :func:`evaluate_batch` takes), evaluated
+    in one batch; every built-in target is one.  A user's opaque one-input function
+    ``BoundedSequence -> float`` is also accepted and called on each input in turn.
     """
 
     name: str
@@ -82,14 +84,37 @@ class TargetFilter:
     fn: object
 
     def evaluate_batch(self, inputs, tol: float = 1e-9) -> np.ndarray:
-        """A one-input function on each input in turn; a filter ``fn`` in one batch,
-        evaluated at ``tol``."""
+        """A filter ``fn`` in one batch, evaluated at ``tol``; a one-input function on
+        each input in turn."""
         if callable(self.fn):
             return np.array([float(self.fn(z)) for z in inputs])
         return evaluate_batch(self.fn, inputs, tol)
 
     def evaluate(self, z: BoundedSequence, tol: float = 1e-9) -> float:
         return float(self.evaluate_batch([z], tol)[0])
+
+
+@dataclass(frozen=True)
+class _BatchTarget:
+    """A built-in target as a batch filter: ``values(inputs, tol)`` computes the (B,)
+    values of an input list at once, each row by itself, so a value does not depend
+    on the rest of its batch."""
+
+    values: object
+
+    def evaluate_batch(self, inputs, tol: float = 1e-9) -> np.ndarray:
+        return self.values(list(inputs), tol)
+
+
+def _newest_block(inputs, n: int) -> np.ndarray:
+    """The (B, n) block of each scalar input's ``n`` newest entries, newest first,
+    extended past its window by its own rule."""
+    return np.stack([z.values_newest_first(n)[:, 0] for z in inputs])
+
+
+def _row_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The (B,) dot products of the rows of two (B, n) blocks, one BLAS call a row."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
 
 
 def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05,
@@ -106,45 +131,86 @@ def target_finite_volterra(memory: int, k0: float = 0.0, k1=None, k2=None, k3=No
 
     H(z) = k0 + sum_i k1[i] z_{-i} + sum_{ij} k2[i,j] z_{-i} z_{-j}
          + sum_{ijl} k3[i,j,l] z_{-i} z_{-j} z_{-l},   all indices < memory.
+
+    A batch filter: the ``memory`` newest entries of every input form one (B, memory)
+    block, and each kernel is contracted with it row by row.
     """
     k0 = float(_finite("k0", k0))
     k1 = None if k1 is None else _finite("k1", k1)
     k2 = None if k2 is None else _finite("k2", k2)
     k3 = None if k3 is None else _finite("k3", k3)
 
-    def fn(z: BoundedSequence) -> float:
-        u = z.values_newest_first(memory)[:, 0]
-        out = k0
+    def values(inputs, tol):
+        U = _newest_block(inputs, memory)
+        out = np.full(len(inputs), k0)
         if k1 is not None:
-            out += float(k1 @ u)
+            out += _rowwise(U, k1)
         if k2 is not None:
-            out += float(u @ k2 @ u)
+            out += _row_dot(_rowwise(U, k2), U)
         if k3 is not None:
-            out += float(np.einsum("ijl,i,j,l->", k3, u, u, u))
+            k3U = _rowwise(U, k3.reshape(memory, -1)).reshape(-1, memory, memory)
+            out += _row_dot(np.matmul(k3U, U[:, :, None])[:, :, 0], U)
         return out
 
-    return TargetFilter(name="finite_volterra", bound=bound, fn=fn)
+    return TargetFilter(name="finite_volterra", bound=bound, fn=_BatchTarget(values))
 
 
 def target_tanh_of_linear(weights, bound: float = 1.0) -> TargetFilter:
-    """H(z) = tanh(sum_i w_i z_{-i}) — a saturating fading-memory nonlinearity."""
+    """H(z) = tanh(sum_i w_i z_{-i}) — a saturating fading-memory nonlinearity.
+
+    A batch filter: one (B, len(w)) block of the newest entries, contracted row by row.
+    """
     w = _finite("weights", weights)
 
-    def fn(z: BoundedSequence) -> float:
-        u = z.values_newest_first(w.size)[:, 0]
-        return math.tanh(float(w @ u))
+    def values(inputs, tol):
+        return np.tanh(_rowwise(_newest_block(inputs, w.size), w))
 
-    return TargetFilter(name="tanh_of_linear", bound=bound, fn=fn)
+    return TargetFilter(name="tanh_of_linear", bound=bound, fn=_BatchTarget(values))
+
+
+def _arma_prehistory(ar, ma, clip: float, tol: float) -> int:
+    """Steps S such that the clipped ARMA run from zero over the S newest entries of
+    an input is within ``tol`` of its value on the left-infinite input.
+
+    Clipping is 1-Lipschitz and two runs on one drive lie in [-clip, clip], so their
+    gap starts at most 2 clip, is free of MA terms after ``len(ma)`` steps, and then
+    shrinks by rho = sum |ar_k| < 1 every ``len(ar)`` steps.  n such blocks with
+    ``2 clip rho**n < tol`` (``_geometric_terms``) need ``len(ma) + n len(ar)`` steps.
+    """
+    rho = float(np.sum(np.abs(ar)))
+    if not rho < 1.0:
+        raise ValueError(f"ARMA target with sum |ar_k| = {rho:.6g} >= 1 has no certified "
+                         "value on a non-zero extension")
+    n = _geometric_terms(2.0 * clip, rho, tol)[0] if rho > 0.0 else 1
+    return ma.size + max(1, n * ar.size)
 
 
 def target_bounded_arma(ar, ma, clip: float, bound: float = 1.0) -> TargetFilter:
-    """ARMA recursion driven by the input, hard-clipped to +-clip each step."""
-    ar, ma, clip = _finite("ar", ar), _finite("ma", ma), float(_finite("clip", clip))
+    """ARMA recursion driven by the input, hard-clipped to +-clip each step.
 
-    def fn(z: BoundedSequence) -> float:
-        return float(_clipped_arma(z.window[None, :, 0], ar, ma, clip)[0, -1])
+    A batch filter: one ``_clipped_arma`` call over a (B, n) block.  Each row holds its
+    input's own drive, left-padded with zeros, on which the recursion stays at 0.0, so
+    the padding changes no bit.  Under the ``zero`` extension the drive is the window,
+    which is exact: the zero prehistory leaves the state at zero.  Any other extension
+    is a constant prehistory, run for the certified number of steps that brings the
+    value within ``tol`` of the left-infinite one; that needs sum |ar_k| < 1, and a
+    ValueError says otherwise.
+    """
+    ar, ma = _finite("ar", ar).ravel(), _finite("ma", ma).ravel()
+    clip = float(_finite("clip", clip))
 
-    return TargetFilter(name="bounded_arma", bound=bound, fn=fn)
+    def values(inputs, tol):
+        steps = 0
+        if any(z.extension != "zero" for z in inputs):
+            steps = _arma_prehistory(ar, ma, clip, tol)
+        lengths = [z.length if z.extension == "zero" else max(z.length, steps)
+                   for z in inputs]
+        U = np.zeros((len(inputs), max(lengths)))
+        for row, z, n in zip(U, inputs, lengths):
+            row[row.size - n:] = z.values_newest_first(n)[::-1, 0]
+        return _clipped_arma(U, ar, ma, clip)[:, -1]
+
+    return TargetFilter(name="bounded_arma", bound=bound, fn=_BatchTarget(values))
 
 
 # ---------------------------------------------------------------------------------

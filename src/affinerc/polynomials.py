@@ -268,6 +268,8 @@ class NormCertificate:
     evaluations -- the number of (grid point, tower level) spectral norms computed,
                    coefficients excluded: at most (grid points) x (degree + 1), fewer
                    by every point the Lipschitz envelope rules out.
+    coeff_norms -- the certified spectral norms of p's coefficients A_0, ..., A_deg,
+                   whose upward sum is B_p.
     """
 
     B_p: float
@@ -276,6 +278,7 @@ class NormCertificate:
     M_pprime: float
     grid_step: float
     evaluations: int
+    coeff_norms: tuple = ()
 
 
 _GRID_BLOCK = 256
@@ -394,6 +397,7 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
         M_pprime=math.sqrt(p.rows) * u[1],
         grid_step=step,
         evaluations=int(at_coarse.sum() + todo.sum()),
+        coeff_norms=tuple(coeff_norms[:, 0].tolist()),
     )
 
 
@@ -410,14 +414,15 @@ class ConditionReport:
 def check_conditions(p: MatrixPolynomial, lam: float, grid_step: float = 1e-3) -> ConditionReport:
     """The contraction condition chain (i) => (ii) => (iii).
 
-    (i)   every ||A_i||_2 < lam and lam * (deg + 1) < 1;
+    (i)   every ||A_i||_2 < lam and lam * (deg + 1) < 1, from the certificate's
+          coefficient norms;
     (ii)  B_p < 1;
     (iii) M_p_upper < 1 (certified).
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
     cert = norm_certificate(p, grid_step=grid_step)
-    cond_i = all(spectral_norm(c) < lam for c in p.coeffs) and lam * (p.degree + 1) < 1.0
+    cond_i = all(nrm < lam for nrm in cert.coeff_norms) and lam * (p.degree + 1) < 1.0
     return ConditionReport(cond_i=cond_i, cond_ii=cert.B_p < 1.0,
                            cond_iii=cert.M_p_upper < 1.0, certificate=cert)
 

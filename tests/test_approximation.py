@@ -8,9 +8,11 @@ from affinerc import (
     MatrixPolynomial,
     SASSystem,
     TargetFilter,
+    ScalarPolynomial,
     TrainedModel,
     approximate,
     check_conditions,
+    evaluate_batch,
     generate_uniform_inputs,
     harvest_states,
     is_nilpotent,
@@ -21,6 +23,10 @@ from affinerc import (
     sup_error,
     system_to_json,
     train_readout,
+    target_bounded_arma,
+    target_finite_volterra,
+    target_linear_iir,
+    target_tanh_of_linear,
 )
 
 RNG = np.random.default_rng
@@ -483,3 +489,78 @@ def test_uniform_inputs_seeded():
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.window, y.window)
     assert not np.array_equal(a[0].window, c[0].window)
+
+
+# ---------------------------------------------------------------------------------
+# built-in targets as time-invariant batch filters
+
+
+def _two_representations(rng, T, extension, pad):
+    """One left-infinite input twice: its window, and the window behind ``pad`` more
+    copies of the entry its extension rule supplies."""
+    w = rng.uniform(-1.0, 1.0, size=(T, 1))
+    fill = np.zeros((pad, 1)) if extension == "zero" else np.repeat(w[:1], pad, axis=0)
+    return (BoundedSequence(w, bound=1.0, extension=extension),
+            BoundedSequence(np.vstack([fill, w]), bound=1.0, extension=extension))
+
+
+def test_every_target_and_system_is_time_invariant():
+    rng = RNG(72)
+    lin = sample_candidate(FamilySpec("L_eps", N=4, seed=11))
+    filters = {
+        "volterra": target_finite_volterra(6, k0=0.2, k1=rng.standard_normal(6),
+                                           k2=rng.standard_normal((6, 6))),
+        "tanh": target_tanh_of_linear(rng.uniform(-0.5, 0.5, size=8)),
+        # the clip never binds on a constant prehistory, so only the run length
+        # brings the value within tol: (1 + 0.5) / (1 - 0.85) = 10 < 20
+        "arma": target_bounded_arma([0.85], [0.5], clip=20.0, bound=1.0),
+        "arma2": target_bounded_arma([0.6, -0.3], [0.5, 0.1], clip=0.9),
+        "iir": target_linear_iir(lin.A, lin.c, ScalarPolynomial.linear_form(rng.standard_normal(4))),
+        "sas": sample_candidate(FamilySpec("SAS_eps", N=5, deg_p=2, seed=12)),
+        "linear": lin,
+    }
+    for tol in (1e-6, 1e-10):
+        for name, f in filters.items():
+            for extension in ("zero", "repeat_last_oldest"):
+                for T, pad in ((1, 3), (4, 20), (4, 400), (30, 200), (150, 7), (150, 400)):
+                    short, long = _two_representations(rng, T, extension, pad)
+                    a, b = evaluate_batch(f, [short, long], tol)
+                    assert abs(a - b) <= tol, (name, extension, T, pad)
+
+
+def test_arma_target_runs_the_constant_prehistory():
+    target = target_bounded_arma([0.5, -0.2], [0.3], 1.0)
+    w = np.array([0.7, 0.3, -0.2, 0.5])[:, None]
+    longer = np.vstack([np.full((20, 1), 0.7), w])
+    # under the zero extension these are two different inputs
+    assert target.evaluate(BoundedSequence(w, 1.0)) == pytest.approx(0.358, abs=1e-15)
+    assert target.evaluate(BoundedSequence(longer, 1.0)) == pytest.approx(0.3255, abs=1e-15)
+    # under repeat_last_oldest they are one
+    for z in (w, longer):
+        value = target.evaluate(BoundedSequence(z, 1.0, extension="repeat_last_oldest"))
+        assert value == pytest.approx(0.3255, abs=1e-9)
+
+
+def test_arma_target_without_contraction_takes_only_the_zero_extension():
+    target = target_bounded_arma([0.7, -0.4], [], 1.0)  # sum |ar_k| = 1.1
+    z = BoundedSequence(np.full((5, 1), 0.3), bound=1.0)
+    assert np.isfinite(target.evaluate(z))
+    with pytest.raises(ValueError, match="sum"):
+        target.evaluate(BoundedSequence(z.window, 1.0, extension="repeat_last_oldest"))
+
+
+def test_volterra_and_tanh_targets_match_their_formulas():
+    rng = RNG(73)
+    m = 5
+    k1, k2, k3 = rng.standard_normal(m), rng.standard_normal((m, m)), rng.standard_normal((m, m, m))
+    w = rng.uniform(-0.5, 0.5, size=7)
+    volterra = target_finite_volterra(m, k0=0.3, k1=k1, k2=k2, k3=k3)
+    tanh = target_tanh_of_linear(w)
+    inputs = [BoundedSequence(rng.uniform(-1.0, 1.0, size=(T, 1)), bound=1.0,
+                              extension=("zero", "repeat_last_oldest")[T % 2])
+              for T in (1, 2, 4, 5, 6, 30)]
+    for z, v, t in zip(inputs, volterra.evaluate_batch(inputs), tanh.evaluate_batch(inputs)):
+        u = z.values_newest_first(m)[:, 0]
+        want = 0.3 + k1 @ u + u @ k2 @ u + np.einsum("ijl,i,j,l->", k3, u, u, u)
+        assert v == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert t == pytest.approx(np.tanh(w @ z.values_newest_first(7)[:, 0]), abs=1e-15)

@@ -229,6 +229,12 @@ def test_arma_target_matches_per_path_loop():
     for T in (1, 2, 3, 17, 90):
         z = BoundedSequence(rng.uniform(-1.0, 1.0, size=(T, 1)), bound=1.0)
         assert target.evaluate(z) == _arma_oracle(z.window[:, 0], ar, ma, clip)[-1]
+    # one batch of mixed lengths: the shorter rows are left-padded with zeros
+    batch = [BoundedSequence(rng.uniform(-1.0, 1.0, size=(T, 1)), bound=1.0)
+             for T in (5, 1, 90, 2, 33, 3, 90, 17)]
+    values = target.evaluate_batch(batch)
+    for z, v in zip(batch, values):
+        assert v == _arma_oracle(z.window[:, 0], ar, ma, clip)[-1]
 
 
 def test_single_path_matches_deterministic_functional():

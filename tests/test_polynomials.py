@@ -575,6 +575,23 @@ def test_pruned_certificate_is_bit_identical_to_the_full_grid():
         assert 1 <= cert.evaluations <= npts * (p.degree + 1)
 
 
+def test_condition_i_reads_the_certificates_coefficient_norms():
+    # the verdict of the former per-coefficient SVDs, at lam on both sides of each norm
+    rng = np.random.default_rng(71)
+    for i in range(60):
+        rows, cols = [(1, 1), (3, 3), (2, 5), (6, 1), (4, 4)][i % 5]
+        deg = i % 4
+        p = MatrixPolynomial.from_coeffs(
+            [rng.standard_normal((rows, cols)) * rng.uniform(0.01, 0.3) for _ in range(deg + 1)])
+        norms = [spectral_norm(c) for c in p.coeffs]
+        assert norm_certificate(p, grid_step=0.5).coeff_norms == tuple(norms)
+        for lam in (*norms, *(math.nextafter(v, 2.0) for v in norms), 0.2, 0.999):
+            if not 0.0 < lam < 1.0:
+                continue
+            want = all(v < lam for v in norms) and lam * (deg + 1) < 1.0
+            assert check_conditions(p, lam, grid_step=0.5).cond_i == want, (i, lam)
+
+
 def test_certificate_prunes_most_evaluations():
     """A 12 x 12 degree-3 certificate at step 1e-3 needs under a quarter of the
     full grid's 4 x 2001 spectral norms."""

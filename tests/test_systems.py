@@ -534,12 +534,34 @@ def _mixed_inputs(rng, n=72):
 
 
 def _batch_filter(kind):
-    from affinerc import FamilySpec, TrainedModel, generic_parallel_compose, sample_candidate
+    from affinerc import (
+        FamilySpec,
+        TrainedModel,
+        generic_parallel_compose,
+        sample_candidate,
+        target_bounded_arma,
+        target_finite_volterra,
+        target_linear_iir,
+        target_tanh_of_linear,
+    )
     from affinerc.approximation import monomial_exponents
 
     rng = np.random.default_rng(64)
     if kind.startswith("sas"):
         return sample_candidate(FamilySpec("SAS_eps", N=int(kind[3:]), seed=3))
+    if kind == "volterra":
+        m = 7
+        return target_finite_volterra(m, k0=0.1, k1=rng.standard_normal(m),
+                                      k2=rng.standard_normal((m, m)),
+                                      k3=rng.standard_normal((m, m, m)))
+    if kind == "tanh":
+        return target_tanh_of_linear(rng.uniform(-0.5, 0.5, size=9))
+    if kind == "arma":
+        return target_bounded_arma([0.5, -0.3], [0.4, 0.2, -0.1], clip=0.8)
+    if kind == "iir":
+        base = sample_candidate(FamilySpec("L_eps", N=5, seed=6))
+        return target_linear_iir(base.A, base.c, ScalarPolynomial.from_terms(
+            5, {a: float(rng.standard_normal()) for a in monomial_exponents(5, 2)}))
     quad = {a: float(rng.standard_normal()) for a in monomial_exponents(6, 2)}
     base = sample_candidate(FamilySpec("L_eps", N=6, seed=4))
     linear = LinearSystem.create(base.A, base.c, ScalarPolynomial.from_terms(6, quad), base.eps)
@@ -553,7 +575,8 @@ def _batch_filter(kind):
     return generic_parallel_compose(sas12, linear, combiner)
 
 
-@pytest.mark.parametrize("kind", ["sas3", "sas12", "sas40", "linear", "trained", "parallel"])
+@pytest.mark.parametrize("kind", ["sas3", "sas12", "sas40", "linear", "trained", "parallel",
+                                  "volterra", "tanh", "arma", "iir"])
 def test_batch_values_do_not_depend_on_the_batch(kind):
     # a plain ``X @ C`` in the SAS scan or the readouts fails this: BLAS rounds a row
     # differently depending on how many rows share the call
@@ -565,6 +588,59 @@ def test_batch_values_do_not_depend_on_the_batch(kind):
         assert evaluate_filter(f, z) == values[i], i
     np.testing.assert_array_equal(evaluate_batch(f, inputs[5:47:3]), values[5:47:3])
     np.testing.assert_array_equal(evaluate_batch(f, inputs[::-1]), values[::-1])
+
+
+def _per_coefficient_scan(s, Z, X):
+    """The SAS scan with one row-wise product per coefficient of p and step, Horner
+    from the highest degree down: the oracle for the stacked-operand kernel."""
+    N = s.N
+    pc = [np.ascontiguousarray(c.T) for c in reversed(s.p.coeffs or (np.zeros((N, N)),))]
+    qc = [c[:, 0] for c in reversed(s.q.coeffs or (np.zeros((N, 1)),))]
+    for zt in Z.T[:, :, None]:
+        acc = np.matmul(X[:, None, :], pc[0])[:, 0]
+        for c in pc[1:]:
+            acc = acc * zt + np.matmul(X[:, None, :], c)[:, 0]
+        qacc = qc[0]
+        for c in qc[1:]:
+            qacc = qacc * zt + c
+        X = acc + qacc
+    return X
+
+
+def test_stacked_scan_matches_per_coefficient_scan():
+    from affinerc import FamilySpec, sample_candidate
+    from affinerc.systems import _sas_scan
+
+    rng = np.random.default_rng(66)
+    for N in (1, 2, 3, 7, 16, 29, 40):
+        for deg in range(4):
+            s = sample_candidate(FamilySpec("SAS_eps", N=N, deg_p=deg, deg_q=deg % 3,
+                                            seed=10 * N + deg))
+            Z = rng.uniform(-1.0, 1.0, size=(9, 70))
+            X0 = rng.uniform(-0.5, 0.5, size=(9, N))
+            out = np.empty((70, 9, N))
+            got = _sas_scan(s, Z, X0, out=out)
+            want = _per_coefficient_scan(s, Z, X0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=f"{N} {deg}")
+            np.testing.assert_array_equal(out[-1], got)
+            np.testing.assert_allclose(out[0], _per_coefficient_scan(s, Z[:, :1], X0),
+                                       rtol=0, atol=1e-13)
+
+
+def test_batch_check_names_the_first_bad_input():
+    s = random_sas(np.random.default_rng(67))
+    good = BoundedSequence(np.full((6, 1), 0.5), bound=1.0)
+    wide = BoundedSequence(np.full((4, 1), 1.5), bound=2.0)
+    pair = BoundedSequence(np.zeros((5, 2)), bound=1.0)
+    with pytest.raises(ValueError, match="input 2 is not admissible: input entry outside"):
+        evaluate_batch(s, [good, good, wide, pair])
+    with pytest.raises(ValueError, match="input 1 is not admissible: state-affine"):
+        evaluate_batch(s, [good, pair, wide])
+    lin = LinearSystem.create(np.zeros((2, 2)), np.array([[1.0], [0.0]]),
+                              ScalarPolynomial.coordinate(2, 0), eps=0.5)
+    assert evaluate_batch(lin, [good, wide]).shape == (2,)
+    with pytest.raises(ValueError, match="input 2 is not admissible: input dim 2"):
+        evaluate_batch(lin, [good, wide, pair])
 
 
 def test_batch_terminal_states_match_series():
