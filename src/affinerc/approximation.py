@@ -113,8 +113,10 @@ def _newest_block(inputs, n: int) -> np.ndarray:
 
 
 def _row_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The (B,) dot products of the rows of two (B, n) blocks, one BLAS call a row."""
-    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+    """The (B,) dot products of the rows of two (B, n) blocks, summed over the
+    columns left to right (``cumsum`` is sequential).  A per-row BLAS dot may round
+    a row by its memory alignment, which moves with the batch."""
+    return np.cumsum(U * V, axis=1)[:, -1]
 
 
 def target_linear_iir(A, c, h: ScalarPolynomial, eps: float = 0.05,

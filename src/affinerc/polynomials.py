@@ -214,7 +214,9 @@ def poly_mul(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
 
 def poly_kron(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
     """Kronecker product: coefficient at degree d is sum_{i+j=d} kron(A_i, B_j)."""
-    return _convolve(a, b, a.rows * b.rows, a.cols * b.cols, np.kron)
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    return _convolve(a, b, rows, cols, lambda x, y: (
+        x[:, None, :, None] * y[None, :, None, :]).reshape(rows, cols))
 
 
 def _assemble(blocks: dict, row_sizes, col_sizes) -> MatrixPolynomial:

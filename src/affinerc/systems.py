@@ -15,8 +15,8 @@ Two system families are implemented:
   spectral constraint is waived.
 
 Every evaluation path runs on one kernel per family.  ``_sas_scan`` steps
-``X <- p(z) X + q(z)`` along a (B, T) block of scalar inputs, one row-wise BLAS
-call per step against p's and q's stacked coefficients; ``_linear_sum``
+``X <- p(z) X + q(z)`` along a (B, T) block of scalar inputs, one gemm per step and
+block of ``SCAN_BLOCK`` inputs against p's and q's stacked coefficients; ``_linear_sum``
 contracts the stack ``[A^J c, ..., c]`` against (B, J+1, d) input windows.  The
 contraction series ``x_t = sum_{j>=0} (prod_{k=0}^{j-1} p(z_{t-k})) q(z_{t-j})``
 truncated at J is exactly the recursion run from the zero state over the J+1 newest
@@ -32,8 +32,10 @@ correctness check.
 Every filter is evaluated by ``evaluate_batch(f, inputs, tol)``, the (B,) values at
 t = 0 of a list of histories; the one-input evaluators are its B = 1 case.  A value
 must not depend, to the bit, on the other inputs of its batch, since the transfer
-check expects exact agreement: the SAS scan and the readouts multiply row by row
-(``_rowwise``), never by one BLAS ``X @ C`` whose blocking changes with B.
+check expects exact agreement.  So no BLAS call has a shape that changes with B: the
+SAS scan pads the batch to whole blocks of ``SCAN_BLOCK`` inputs, each block one
+gemm of a fixed shape, and the readouts multiply row by row (``_rowwise``), never
+by one ``X @ C`` whose blocking changes with B.
 """
 
 from __future__ import annotations
@@ -264,17 +266,12 @@ def _newest(z: BoundedSequence, n: int) -> np.ndarray:
 
 def _rowwise(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """``X @ C`` for a (B, n) block X as B one-row BLAS calls, alike for any B; a plain
-    ``X @ C`` splits the rows into kernels that round differently as B changes."""
+    ``X @ C`` splits the rows into kernels that round differently as B changes.  Used
+    for readouts and kernels contracted once per batch, not inside the scan."""
     return np.matmul(X[:, None, :], C)[:, 0]
 
 
-def _aligned_zeros(shape) -> np.ndarray:
-    """A zero float array that starts on a 64-byte boundary.  OpenBLAS's gemv runs
-    up to twice as slow on a matrix that does not; the values are alike."""
-    n = math.prod(shape)
-    buf = np.zeros(n + 7)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start:start + n].reshape(shape)
+SCAN_BLOCK = 32  # inputs per gemm: a multiple of every x86 dgemm register tile
 
 
 def _sas_scan(s: SASSystem, Z: np.ndarray, X0: np.ndarray, out=None) -> np.ndarray:
@@ -283,35 +280,59 @@ def _sas_scan(s: SASSystem, Z: np.ndarray, X0: np.ndarray, out=None) -> np.ndarr
     ``X0`` holds one (N,) start state per row.  Returns the (B, N) terminal states
     and, given ``out`` of shape (T, B, N), stores every state there.
 
-    A state row is stored with a constant 1 after its N entries, and block k of one
-    (N + 1, D N) operand, built once per call, stacks ``A^T`` over ``b^T`` for the
-    coefficients A of p and b of q of degree D - 1 - k (zero past either's degree).
-    So each step makes one row-wise BLAS call for every ``x A^T + b^T`` at once, then
-    runs Horner in z on column slices of the result.  The working memory is
-    O(B N D) whatever T is, and each row evolves independently of the others.
+    The states are held transposed, one (N + 1, R) slab per block of R =
+    ``SCAN_BLOCK`` inputs whose last row is the constant 1; the last block is padded
+    with zero inputs.  Block k of one (D N, N + 1) operand, built once per call,
+    holds ``[A | b]`` for the coefficients A of p and b of q of degree D - 1 - k
+    (zero past either's degree).  So each step makes one stacked gemm for every
+    ``A x + b`` of every input, then runs Horner in z on contiguous (N, R) slices of
+    the result.  The working memory is O(B N D) whatever T is.
+
+    A state does not depend, to the bit, on the other inputs of its batch: every
+    gemm has one shape whatever B is, gemm packs its operands so that neither
+    alignment nor neighbouring inputs reach a column, and R fills whole register
+    tiles, so that no input lands in an edge tile.  NumPy would send a one-row
+    operand (N = 1, degree 0) to gemv instead, so the operand has at least two rows.
     """
-    N = s.N
+    N, R = s.N, SCAN_BLOCK
+    B, T = Z.shape
+    nb = -(-B // R)
     pc = s.p.coeffs or (np.zeros((N, N)),)
     qc = s.q.coeffs or (np.zeros((N, 1)),)
     D = max(len(pc), len(qc))
-    P = _aligned_zeros((N + 1, D * N))
+    P = np.zeros((max(D * N, 2), N + 1))
     for k, c in enumerate(pc):
-        P[:N, (D - 1 - k) * N:(D - k) * N] = c.T
+        P[(D - 1 - k) * N:(D - k) * N, :N] = c
     for k, c in enumerate(qc):
-        P[N, (D - 1 - k) * N:(D - k) * N] = c[:, 0]
-    XA = np.ones((Z.shape[0], N + 1))
-    XA[:, :N] = X0
-    X = np.array(X0, dtype=float)  # Horner on contiguous rows: twice as fast as in XA
-    for t, zt in enumerate(Z.T[:, :, None]):
-        prods = _rowwise(XA, P)
-        X[:] = prods[:, :N]
+        P[(D - 1 - k) * N:(D - k) * N, N] = c[:, 0]
+    XT = np.ones((nb, N + 1, R))
+    rows = np.zeros((nb * R, N))
+    rows[:B] = X0
+    XT[:, :N] = rows.reshape(nb, R, N).transpose(0, 2, 1)
+    ZT = np.zeros((T, nb * R))
+    ZT[:, :B] = Z.T
+    prods = np.empty((nb, P.shape[0], R))
+    # Horner runs in a contiguous X against z spread over every entry: in the slab
+    # view, or with z broadcast, NumPy's loops run over short pieces, 1.5-2x slower
+    X, zx = np.empty((nb, N, R)), np.empty((nb, N, R))
+    for t, zt in enumerate(ZT.reshape(T, nb, 1, R)):
+        np.matmul(P, XT, out=prods)
+        np.copyto(zx, zt)
+        np.copyto(X, prods[:, :N])
         for k in range(N, D * N, N):
-            X *= zt
+            X *= zx
             X += prods[:, k:k + N]
-        XA[:, :N] = X
+        XT[:, :N] = X
         if out is not None:
-            out[t] = X
-    return X
+            out[t] = _scan_rows(X, B)
+    return _scan_rows(X, B)
+
+
+def _scan_rows(X: np.ndarray, B: int) -> np.ndarray:
+    """The first B states of (nb, N, R) transposed blocks as contiguous (B, N) rows,
+    so that a readout sees one layout whatever the batch."""
+    nb, N, R = X.shape
+    return np.ascontiguousarray(X.transpose(0, 2, 1).reshape(nb * R, N)[:B])
 
 
 def _linear_powers(s: LinearSystem, J: int) -> np.ndarray:
@@ -544,17 +565,19 @@ def evaluate_batch(f, inputs, tol: float = 1e-9) -> np.ndarray:
 
     The two system types read out their batched terminal states (``W^T x``,
     ``h(x)``); any other filter provides ``evaluate_batch(inputs, tol)``.  A value
-    does not depend, to the bit, on the other inputs of its batch.
+    does not depend, to the bit, on the other inputs of its batch.  An empty batch
+    gives an empty array.
     """
     inputs = list(inputs)
+    if not (isinstance(f, (SASSystem, LinearSystem)) or hasattr(f, "evaluate_batch")):
+        raise TypeError(f"cannot evaluate object of type {type(f).__name__} as a filter")
+    if not inputs:
+        return np.zeros(0)
     if isinstance(f, SASSystem):
         return _rowwise(_terminal_states(f, inputs, tol), f.W)
     if isinstance(f, LinearSystem):
         return _poly_values(f.h, _terminal_states(f, inputs, tol))
-    batch = getattr(f, "evaluate_batch", None)
-    if batch is None:
-        raise TypeError(f"cannot evaluate object of type {type(f).__name__} as a filter")
-    return np.asarray(batch(inputs, tol), dtype=float)
+    return np.asarray(f.evaluate_batch(inputs, tol), dtype=float)
 
 
 def evaluate_filter(f, z: BoundedSequence, tol: float = 1e-9) -> float:

@@ -547,6 +547,8 @@ def _batch_filter(kind):
     from affinerc.approximation import monomial_exponents
 
     rng = np.random.default_rng(64)
+    if kind == "sas1":  # D N = 1: the one shape NumPy would hand to gemv, not gemm
+        return sample_candidate(FamilySpec("SAS_eps", N=1, deg_p=0, deg_q=0, seed=3))
     if kind.startswith("sas"):
         return sample_candidate(FamilySpec("SAS_eps", N=int(kind[3:]), seed=3))
     if kind == "volterra":
@@ -575,19 +577,35 @@ def _batch_filter(kind):
     return generic_parallel_compose(sas12, linear, combiner)
 
 
-@pytest.mark.parametrize("kind", ["sas3", "sas12", "sas40", "linear", "trained", "parallel",
-                                  "volterra", "tanh", "arma", "iir"])
+_BATCH_KINDS = ["sas1", "sas3", "sas12", "sas40", "linear", "trained", "parallel",
+                "volterra", "tanh", "arma", "iir"]
+
+
+@pytest.mark.parametrize("kind", _BATCH_KINDS)
 def test_batch_values_do_not_depend_on_the_batch(kind):
     # a plain ``X @ C`` in the SAS scan or the readouts fails this: BLAS rounds a row
     # differently depending on how many rows share the call
+    from affinerc.systems import SCAN_BLOCK
+
     f = _batch_filter(kind)
     inputs = _mixed_inputs(np.random.default_rng(65))
+    assert len(inputs) > 2 * SCAN_BLOCK
     values = evaluate_batch(f, inputs)
     assert values.shape == (len(inputs),)
     for i, z in enumerate(inputs):
         assert evaluate_filter(f, z) == values[i], i
     np.testing.assert_array_equal(evaluate_batch(f, inputs[5:47:3]), values[5:47:3])
     np.testing.assert_array_equal(evaluate_batch(f, inputs[::-1]), values[::-1])
+    # every input visits every position of a scan block
+    for r in range(1, SCAN_BLOCK):
+        np.testing.assert_array_equal(evaluate_batch(f, inputs[r:] + inputs[:r]),
+                                      np.roll(values, -r), err_msg=f"rolled by {r}")
+
+
+@pytest.mark.parametrize("kind", _BATCH_KINDS)
+def test_empty_batch_gives_empty_values(kind):
+    values = evaluate_batch(_batch_filter(kind), [])
+    assert values.shape == (0,) and values.dtype == float
 
 
 def _per_coefficient_scan(s, Z, X):
