@@ -31,7 +31,7 @@ from .polynomials import (
     _monomial_products,
     spectral_norm,
 )
-from .sequences import BoundedSequence, _finite
+from .sequences import BoundedSequence, _finite, _window_block
 from .systems import (
     LinearSystem,
     SASSystem,
@@ -109,7 +109,7 @@ class _BatchTarget:
 def _newest_block(inputs, n: int) -> np.ndarray:
     """The (B, n) block of each scalar input's ``n`` newest entries, newest first,
     extended past its window by its own rule."""
-    return np.stack([z.values_newest_first(n)[:, 0] for z in inputs])
+    return np.ascontiguousarray(_window_block(inputs, n)[:, ::-1, 0])
 
 
 def _row_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -385,7 +385,11 @@ class TrainedModel:
     tol: float = 1e-9
 
     def evaluate_batch(self, inputs, tol: float | None = None) -> np.ndarray:
-        """The readout contracted with each harvested row, row by row."""
+        """The readout contracted with each harvested row, row by row; an empty batch
+        gives an empty array."""
+        inputs = list(inputs)
+        if not inputs:
+            return np.zeros(0)
         rows = harvest_states(self.system, inputs, tol=self.tol if tol is None else tol,
                               readout_degree=self.readout_degree)
         return _rowwise(rows, self.readout)

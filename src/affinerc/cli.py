@@ -223,6 +223,8 @@ def cmd_certify(args) -> int:
         "M_pprime": cert.M_pprime,
         "grid_step": cert.grid_step,
         "evaluations": cert.evaluations,
+        "bound_by": cert.bound_by,
+        "rounding": cert.rounding,
         "lam": args.lam,
         "cond_i": report.cond_i,
         "cond_ii": report.cond_ii,

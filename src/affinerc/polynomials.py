@@ -12,8 +12,13 @@ polynomials out on a grid of row and column blocks.
 a grid lower bound (up to the rounding of its norms) and an upper bound combining the
 grid with a Mean-Value-Inequality slack, capped by the coefficient-norm sum
 B_p = sum_i ||A_i||_2 (a certified upper bound on [-1, 1] in its own right).  The
-slack needs a bound on sup ||p'||, which is obtained by the same grid device applied
-down the (finite) derivative tower, each level capped by its own coefficient-norm sum.
+mean-value inequality holds in the operator norm, so the slack is half the grid step
+times a bound on sup ||p'||, with no factor for the matrix shape; that bound is
+obtained by the same grid device applied down the (finite) derivative tower, each
+level capped by its own coefficient-norm sum.  The floating-point errors the grid
+hides are added as explicit terms, each rounded upward: the Horner error at the grid
+points, the rounding of the linspace points, the rounding of the stored derivative
+coefficients, and the sums themselves.
 
 The tower p, p', ..., p^(deg) is stacked into one polynomial, evaluated by Horner's
 scheme on blocks of grid points with one batched spectral-norm call per block; its
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -99,11 +103,21 @@ def _spectral_norms(mats) -> np.ndarray:
 
 def _upward_sum(values) -> float:
     """The float sum of ``values`` rounded toward +inf, so a sum of upper bounds stays
-    one: the correctly rounded sum, moved up one ulp unless it is exact."""
+    one: the correctly rounded sum, moved up one ulp unless it is exact.  The
+    residual ``sum(values) - total`` is a sum of floats, so ``fsum`` rounds it to a
+    number of its own sign."""
+    values = list(values)
     total = math.fsum(values)
-    if Fraction(total) < sum(map(Fraction, values)):
+    if math.fsum([*values, -total]) > 0.0:
         total = math.nextafter(total, math.inf)
     return total
+
+
+def _upward_product(a: float, b: float) -> float:
+    """An upper bound of ``a * b`` for ``a, b >= 0``: the rounded product moved up one
+    ulp, which covers its rounding, unless a factor is zero."""
+    prod = a * b
+    return math.nextafter(prod, math.inf) if a and b else prod
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -263,8 +277,9 @@ class NormCertificate:
     B_p         -- sum of coefficient spectral norms; certified upper bound on I.
     M_p_lower   -- grid maximum of ||p(z)||_2, each norm rounded up by the SVD factor
                    (``_SVD_REL_ERR``), so a lower bound of M_p up to that factor.
-    M_p_upper   -- grid maximum plus Mean-Value-Inequality slack, capped by B_p but
-                   never below M_p_lower; a certified upper bound of M_p.
+    M_p_upper   -- grid maximum plus Mean-Value-Inequality slack and rounding terms,
+                   capped by B_p but never below M_p_lower; a certified upper bound
+                   of M_p.
     M_pprime    -- sqrt(rows) * certified upper bound of sup ||p'(z)||_2.
     grid_step   -- the actual grid spacing used.
     evaluations -- the number of (grid point, tower level) spectral norms computed,
@@ -272,6 +287,14 @@ class NormCertificate:
                    by every point the Lipschitz envelope rules out.
     coeff_norms -- the certified spectral norms of p's coefficients A_0, ..., A_deg,
                    whose upward sum is B_p.
+    bound_by    -- which term set M_p_upper: ``"grid"`` when it is the grid bound
+                   (grid maximum + grid_step/2 * sup ||p'|| + rounding, or the grid
+                   maximum alone), ``"coefficients"`` when the cap B_p was lower.
+    rounding    -- the explicit rounding terms of the grid bound at level 0, summed
+                   upward: the Horner error of the grid values and the linspace
+                   term (see ``norm_certificate``).  So M_p_upper - M_p_lower is at
+                   most grid_step/2 * M_pprime / sqrt(rows) + rounding, up to the
+                   ulps of the upward-rounded sums.
     """
 
     B_p: float
@@ -281,6 +304,8 @@ class NormCertificate:
     grid_step: float
     evaluations: int
     coeff_norms: tuple = ()
+    bound_by: str = "grid"
+    rounding: float = 0.0
 
 
 _GRID_BLOCK = 256
@@ -308,10 +333,43 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     realized spacing (recorded in the certificate) never exceeds the request.  The
     tower p, p', ..., p^(deg) is stacked into one (L m) x n polynomial, so each Horner
     sweep evaluates every level at once.  Level k is bounded by
-    ``u_k = max(min(g_k + step/2 * sqrt(m n) * u_{k+1}, b_k), g_k)`` from its grid
-    maximum g_k and coefficient-norm sum b_k (summed toward +inf), bottom (constant)
-    level first.  The ``max`` keeps the bound from dipping below the grid maximum,
-    whose Horner values round differently from b_k.
+
+        u_k = max(min(up(g_k + h_k + rho d_k), b_k), g_k),   d_k = up(u_{k+1} + e_{k+1}),
+
+    bottom (constant) level first, with u and e zero past it.  Here g_k is the grid
+    maximum of level k, b_k its coefficient-norm sum (summed toward +inf), and up()
+    rounds a sum or product toward +inf.  The rounding terms are
+    ``h_k = (deg + 1) eps sqrt(r) b_k`` (Horner), ``rho = step/2 + 4 eps`` (the
+    linspace points) and ``e_k = eps sqrt(r) b_k`` (the stored derivative
+    coefficients), with ``r = min(m, n)`` and eps the machine epsilon (u = eps / 2).
+    The ``max`` keeps the bound from dipping below the grid maximum, whose Horner
+    values round differently from b_k.  ``M_pprime`` is ``sqrt(m) d_0`` and
+    ``rounding`` is ``up(h_0 + rho d_0 - step/2 d_0)``.
+
+    Why u_k >= sup_I ||P_k||, for the stored level-k polynomial P_k = sum_j C_j z^j
+    taken exactly, assuming it of level k + 1:
+
+    - Grid: ``np.linspace`` computes point i as fl(fl(i s) - 1) with
+      s = fl(2 / (npts - 1)) = step, the last point being exactly 1.  That is
+      within 5u of -1 + 2i / (npts - 1), whose spacing is at most step (1 + u), and
+      step <= 1.  So every z in I lies within step/2 + 3 eps of a grid point z_i,
+      and rho, rounded to nearest, still exceeds that.
+    - Mean value: ||P_k(z) - P_k(z_i)|| <= |z - z_i| sup ||P_k'|| holds in the
+      operator norm itself (integrate P_k' from z_i to z), so no factor for the
+      shape is needed.  Level k + 1 stores fl(j C_j), each entry within
+      u / (1 - u) |fl(j C_j)| of j C_j, so the derivative differs from P_{k+1} by at
+      most (u / (1 - u)) sqrt(r) b_{k+1} <= e_{k+1} in the 2-norm (the Frobenius
+      norm of an m x n matrix is at most sqrt(r) times its 2-norm).  Hence
+      sup ||P_k'|| <= u_{k+1} + e_{k+1} <= d_k.
+    - Horner: ||P_k(z_i)|| <= F_k(z_i) + h_k <= g_k + h_k, by the Horner and SVD
+      bounds proved below for the pruning.
+    - Cap: ||P_k(z)|| <= sum_j ||C_j||_2 |z|^j <= b_k on I.
+
+    So sup ||P_k|| <= min(g_k + h_k + rho d_k, b_k) <= u_k.  h_k exceeds the Horner
+    bound gamma_{2 deg} sqrt(r) b_k by a relative 1 / deg, e_k its bound by a factor
+    of 2 and rho its bound by 0.7 eps, far more than the few units of u their own
+    computation loses; the sums and the product with rho are rounded upward.  d_0
+    likewise bounds sup ||p'||.
 
     Each g_k is the maximum of the computed norms F_k(z) over the whole grid, but an
     SVD is taken only where it can change that maximum:
@@ -378,9 +436,9 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     r = min(p.rows, p.cols)
     eps = np.finfo(float).eps
     rel = 2.0 * _SVD_REL_ERR * max(p.rows, p.cols) + (math.sqrt(r) + 8.0) * eps
-    horner = 4.0 * (p.degree + 1) * eps * math.sqrt(r) * np.asarray(b[:top])
+    horner = [(p.degree + 1) * eps * math.sqrt(r) * bk for bk in b]
     envelope = 0.5 * (f[:-1, :top] + f[1:, :top] + np.diff(grid[coarse])[:, None] * b[1:])
-    refine = envelope * (1.0 + rel) + horner > g[:top]
+    refine = envelope * (1.0 + rel) + 4.0 * np.asarray(horner[:top]) > g[:top]
     todo = np.zeros((npts, len(levels)), dtype=bool)
     todo[:-1, :top] = np.repeat(refine, np.diff(coarse), axis=0)
     todo[coarse] = False
@@ -388,18 +446,23 @@ def norm_certificate(p: MatrixPolynomial, grid_step: float = 1e-3) -> NormCertif
     refined = _grid_norms(tower, grid[points], todo[points]).max(axis=0, initial=0.0)
     g = np.maximum(g, refined).tolist()
 
-    slack = 0.5 * step * math.sqrt(p.rows * p.cols)
-    u = [0.0] * (len(levels) + 1)
+    rho = 0.5 * step + 4.0 * eps
+    deriv = [eps * math.sqrt(r) * bk for bk in b[1:]] + [0.0]
+    u, d = 0.0, 0.0
     for k in reversed(range(len(levels))):
-        u[k] = max(min(g[k] + slack * u[k + 1], b[k]), g[k])
+        d = _upward_sum([u, deriv[k]])
+        grid_bound = _upward_sum([g[k], horner[k], _upward_product(rho, d)])
+        u = max(min(grid_bound, b[k]), g[k])
     return NormCertificate(
         B_p=b[0],
         M_p_lower=g[0],
-        M_p_upper=u[0],
-        M_pprime=math.sqrt(p.rows) * u[1],
+        M_p_upper=u,
+        M_pprime=math.sqrt(p.rows) * d,
         grid_step=step,
         evaluations=int(at_coarse.sum() + todo.sum()),
         coeff_norms=tuple(coeff_norms[:, 0].tolist()),
+        bound_by="coefficients" if g[0] <= b[0] < grid_bound else "grid",
+        rounding=_upward_sum([horner[0], _upward_product(rho, d), -0.5 * step * d]),
     )
 
 

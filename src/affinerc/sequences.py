@@ -196,6 +196,26 @@ class BoundedSequence:
         return np.concatenate([self.window[::-1], ext], axis=0)
 
 
+def _window_block(inputs, n: int) -> np.ndarray:
+    """The (B, n, dim) block of each input's ``n`` newest entries, oldest first, with
+    the entries older than an input's window filled by its own extension rule: the
+    rows of ``values_newest_first(n)[::-1]``, bit for bit.  Inputs of one window
+    length take one stack, and one fill of their padding when they are shorter than
+    ``n``."""
+    out = np.empty((len(inputs), n, inputs[0].dim))
+    by_length: dict = {}
+    for i, z in enumerate(inputs):
+        by_length.setdefault(z.length, []).append(i)
+    for T, rows in by_length.items():
+        k = min(T, n)
+        block = np.stack([inputs[i].window[T - k:] for i in rows])
+        out[rows, n - k:] = block
+        if k < n:
+            repeat = np.array([inputs[i].extension == "repeat_last_oldest" for i in rows])
+            out[rows, :n - k] = np.where(repeat[:, None, None], block[:, :1], 0.0)
+    return out
+
+
 def _finite(name: str, values) -> np.ndarray:
     """``values`` as a float array, or ValueError if any entry is NaN or infinite."""
     arr = np.asarray(values, dtype=float)

@@ -22,8 +22,11 @@ contraction series ``x_t = sum_{j>=0} (prod_{k=0}^{j-1} p(z_{t-k})) q(z_{t-j})``
 truncated at J is exactly the recursion run from the zero state over the J+1 newest
 inputs, so the series at every slot, the state at t = 0 and the batched terminal
 states are all that scan over ``sliding_window_view`` windows, older entries coming
-from the sequence's extension rule.  J is the smallest count whose certified
-geometric tail is below ``tol`` (``_geometric_terms``, which also sets the washout).
+from the sequence's extension rule (``_window_block``, one block per batch).  J is
+the smallest count whose certified geometric tail is below ``tol``
+(``_geometric_terms``, which also sets the washout), or N - 1 with a zero tail when
+p's coefficients are all strictly upper triangular, so that every product of N
+factors of p vanishes.
 
 The plain recursion from a caller-supplied initial state remains the independent
 solution path: its agreement with the series past the washout is a core
@@ -62,7 +65,7 @@ from .polynomials import (
     scalar_poly_to_json,
     spectral_norm,
 )
-from .sequences import BoundedSequence
+from .sequences import BoundedSequence, _window_block
 
 __all__ = [
     "SASSystem",
@@ -259,11 +262,6 @@ def _geometric_terms(scale: float, rate: float, tol: float) -> tuple[int, float]
     return n, scale * rate**n
 
 
-def _newest(z: BoundedSequence, n: int) -> np.ndarray:
-    """The ``n`` newest entries oldest first, extended past the window by its rule."""
-    return z.values_newest_first(n)[::-1]
-
-
 def _rowwise(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """``X @ C`` for a (B, n) block X as B one-row BLAS calls, alike for any B; a plain
     ``X @ C`` splits the rows into kernels that round differently as B changes.  Used
@@ -428,8 +426,16 @@ def sas_run_recursion(
 
 
 def _series_terms(s: SASSystem, tol: float) -> tuple[int, float]:
-    """Smallest J with K2 * K1**(J+1) / (1 - K1) < tol, and that tail value."""
-    return _geometric_terms(s.K2 * s.K1 / (1.0 - s.K1), s.K1, tol)
+    """Terms J of the series and its tail: the smallest J with
+    K2 * K1**(J+1) / (1 - K1) < tol, or J = N - 1 with a zero tail when that is
+    shorter and every coefficient of p is strictly upper triangular.  Then every
+    product p(z_1) ... p(z_N) vanishes, whatever the z_k, and every later term has
+    at least N factors.  A symbolic ``p(z)**k == 0`` (``is_nilpotent``) does not
+    make products over distinct z_k vanish."""
+    J, tail = _geometric_terms(s.K2 * s.K1 / (1.0 - s.K1), s.K1, tol)
+    if J > s.N - 1 and all(not np.any(np.tril(c)) for c in s.p.coeffs):
+        return s.N - 1, 0.0
+    return J, tail
 
 
 def sas_run_series(s: SASSystem, z: BoundedSequence, tol: float) -> Trajectory:
@@ -443,7 +449,7 @@ def sas_run_series(s: SASSystem, z: BoundedSequence, tol: float) -> Trajectory:
     _check_sas_input(s, z)
     J, tail = _series_terms(s, tol)
     T = z.length
-    windows = sliding_window_view(_newest(z, T + J)[:, 0], J + 1)  # (T, J+1)
+    windows = sliding_window_view(_window_block([z], T + J)[0, :, 0], J + 1)  # (T, J+1)
     states = _sas_scan(s, windows, np.zeros((T, s.N)))
     outputs = _rowwise(states, s.W)
     return Trajectory(
@@ -491,7 +497,7 @@ def linear_run(s: LinearSystem, z: BoundedSequence, tol: float = 1e-9) -> Trajec
     """
     _check_linear_input(s, z)
     J, tail = _linear_terms(s, z.bound, tol)
-    windows = sliding_window_view(_newest(z, z.length + J), J + 1, axis=0)
+    windows = sliding_window_view(_window_block([z], z.length + J)[0], J + 1, axis=0)
     states = _linear_sum(s, windows.transpose(0, 2, 1), J)
     outputs = _poly_values(s.h, states)
     return Trajectory(
@@ -542,21 +548,19 @@ def _terminal_states(system, inputs, tol: float) -> np.ndarray:
 
     The batch is checked at once (``_InputRejected`` names the first bad input),
     then each input is cut to, or extended by its own rule to, the J+1 newest
-    entries the tail below ``tol`` needs.  A linear input takes the J of its own
-    bound; inputs sharing a J share one kernel call.
+    entries the tail below ``tol`` needs, in one (B, J+1, d) block
+    (``_window_block``).  A linear input takes the J of its own bound; inputs
+    sharing a J share one block and one kernel call.
     """
-    sas = isinstance(system, SASSystem)
     _check_batch(system, inputs)
-    if sas:
+    if isinstance(system, SASSystem):
         J, _ = _series_terms(system, tol)
-        Z = np.stack([_newest(z, J + 1)[:, 0] for z in inputs])
-        return sas_terminal_states_batch(system, Z)
+        return sas_terminal_states_batch(system, _window_block(inputs, J + 1)[:, :, 0])
     J_of = {M: _linear_terms(system, M, tol)[0] for M in {z.bound for z in inputs}}
     states = np.empty((len(inputs), system.N))
     for J in set(J_of.values()):
         rows = [i for i, z in enumerate(inputs) if J_of[z.bound] == J]
-        windows = np.stack([_newest(inputs[i], J + 1) for i in rows])
-        states[rows] = _linear_sum(system, windows, J)
+        states[rows] = _linear_sum(system, _window_block([inputs[i] for i in rows], J + 1), J)
     return states
 
 

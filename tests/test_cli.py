@@ -151,6 +151,8 @@ def test_certify_json_matches_library(tmp_path):
     assert doc["M_p_upper"] == cert.M_p_upper
     assert doc["M_pprime"] == cert.M_pprime
     assert doc["evaluations"] == cert.evaluations
+    assert doc["bound_by"] == cert.bound_by in ("grid", "coefficients")
+    assert doc["rounding"] == cert.rounding > 0.0
     assert doc["rows"] == 3 and doc["cols"] == 3 and doc["degree"] == 2
 
 

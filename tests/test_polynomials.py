@@ -3,6 +3,7 @@
 import json
 import math
 import unittest
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from affinerc import (
     scalar_poly_to_json,
     spectral_norm,
 )
-from affinerc.polynomials import _assemble, _spectral_norms, _upward_sum
+from affinerc.polynomials import _assemble, _spectral_norms, _upward_product, _upward_sum
 
 
 def random_poly(rng, rows, cols, deg, scale=1.0):
@@ -484,6 +485,13 @@ def test_certified_bounds_are_sound_against_mpmath():
 
             cert = norm_certificate(MatrixPolynomial.from_coeffs(p_coeffs), grid_step=0.25)
             assert cert.B_p >= sum(sigma1([(0, a)]) for a in p_coeffs)
+            # tight: the gap is the mean-value slack on the certified sup ||p'||, with no
+            # factor for the shape, plus the recorded rounding terms, up to the ulps of
+            # the upward-rounded sums; and those terms are rounding-sized
+            slack = 0.5 * cert.grid_step * cert.M_pprime / math.sqrt(n)
+            assert cert.M_p_upper - cert.M_p_lower <= (
+                slack + cert.rounding + 4 * math.ulp(cert.M_p_upper))
+            assert 0.0 < cert.rounding <= 1e-13 * (cert.B_p + cert.M_pprime)
             p_terms = list(enumerate(p_coeffs))
             dp_terms = [(i - 1, i * a) for i, a in p_terms[1:]]
             q_terms = list(enumerate(q_coeffs))
@@ -501,6 +509,34 @@ def test_certified_bounds_are_sound_against_mpmath():
             lin = LinearSystem.create(p_coeffs[0] / 8, np.ones(n),
                                       ScalarPolynomial.coordinate(n, 0), eps=0.1)
             assert lin.sigma >= sigma1(p_terms[:1]) / 8
+
+def test_upward_rounding_helpers_bound_the_exact_values():
+    rng = np.random.default_rng(72)
+    cases = [[0.5, 0.25], [0.1, 0.2], [1.0, 1e-300, -1.0], [0.7, -0.7], [], [3.0]]
+    cases += [(rng.standard_normal(int(rng.integers(1, 6)))
+               * 10.0 ** rng.integers(-20, 20, size=1)).tolist() for _ in range(2000)]
+    for values in cases:
+        exact = sum(map(Fraction, values), Fraction(0))
+        up = _upward_sum(values)
+        # the smallest float at or above the exact sum
+        assert Fraction(up) >= exact > Fraction(math.nextafter(up, -math.inf)), values
+    for a, b in rng.uniform(0.0, 2.0, size=(2000, 2)).tolist() + [(0.0, 3.0), (0.5, 0.25)]:
+        prod = _upward_product(a, b)
+        assert Fraction(a) * Fraction(b) <= prod <= math.nextafter(a * b, math.inf)
+    assert _upward_product(0.0, 0.7) == 0.0
+
+
+def test_linspace_points_lie_within_five_units_of_roundoff():
+    """The covering radius step/2 + 4 eps of ``norm_certificate`` rests on each
+    np.linspace point lying within 5u = 2.5 eps of -1 + 2i / (npts - 1)."""
+    for grid_step in (1.0, 0.5, 0.25, 0.05, 0.02, 0.0137, 0.01, 0.005, 1e-3, 1e-4):
+        npts = int(math.ceil(2.0 / grid_step)) + 1
+        grid = np.linspace(-1.0, 1.0, npts)
+        worst = max(abs(Fraction(x) + 1 - Fraction(2 * i, npts - 1))
+                    for i, x in enumerate(grid.tolist()))
+        assert worst <= Fraction(5, 2**54), grid_step
+        assert grid[0] == -1.0 and grid[-1] == 1.0
+
 
 def full_grid_certificate(p, grid_step):
     """(B_p, M_p_lower, M_p_upper, M_pprime, grid_step) from a spectral norm at every
@@ -521,11 +557,16 @@ def full_grid_certificate(p, grid_step):
                 for zs in np.array_split(grid, -(-npts // 256))], axis=0).tolist()
     coeff_norms = _spectral_norms(np.reshape(tower.coeffs, shape))
     b = [_upward_sum(level) for level in coeff_norms.T.tolist()]
-    slack = 0.5 * step * math.sqrt(p.rows * p.cols)
+    eps, r = np.finfo(float).eps, min(p.rows, p.cols)
+    rho = 0.5 * step + 4.0 * eps
     u = [0.0] * (len(levels) + 1)
+    d = [0.0] * (len(levels) + 1)
     for k in reversed(range(len(levels))):
-        u[k] = max(min(g[k] + slack * u[k + 1], b[k]), g[k])
-    return (b[0], g[0], u[0], math.sqrt(p.rows) * u[1], step)
+        e_above = eps * math.sqrt(r) * b[k + 1] if k + 1 < len(levels) else 0.0
+        d[k] = _upward_sum([u[k + 1], e_above])
+        h = (p.degree + 1) * eps * math.sqrt(r) * b[k]
+        u[k] = max(min(_upward_sum([g[k], h, _upward_product(rho, d[k])]), b[k]), g[k])
+    return (b[0], g[0], u[0], math.sqrt(p.rows) * d[0], step)
 
 
 def _oracle_case(rng, i):

@@ -334,3 +334,24 @@ def test_csv_file_round_trip(tmp_path):
     back = read_sequence(path)
     np.testing.assert_array_equal(back.window, z.window)
     assert back.bound == z.bound
+
+
+# ---------------------------------------------------------------------------------
+# batch window blocks
+
+
+@pytest.mark.parametrize("n", [1, 4, 37, 200])
+def test_window_block_matches_per_input_values(n):
+    from affinerc.sequences import _window_block
+
+    rng = np.random.default_rng(32)
+    inputs = [BoundedSequence(rng.uniform(-0.5, 0.5, size=(int(T), d)), bound=1.0,
+                              extension=("zero", "repeat_last_oldest")[i % 2])
+              for i, (T, d) in enumerate(zip(rng.integers(1, 60, size=40), [3] * 40))]
+    inputs += [BoundedSequence(-np.ones((5, 3)), bound=2.0, extension=ext)
+               for ext in ("zero", "repeat_last_oldest")]
+    block = _window_block(inputs, n)
+    assert block.shape == (len(inputs), n, 3)
+    for row, z in zip(block, inputs):
+        want = z.values_newest_first(n)[::-1]
+        assert row.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -152,6 +152,47 @@ def test_series_with_zero_p_returns_q_of_current_input():
     assert traj.truncation_tail_bound == 0.0
 
 
+def test_strictly_triangular_p_takes_n_terms():
+    # every product of N strictly upper triangular factors vanishes, so N - 1 terms
+    # are the exact series: the recursion from zero over any longer window
+    rng = np.random.default_rng(33)
+    N = 6
+    J0, J1 = (np.triu(rng.standard_normal((N, N)), k=1) for _ in range(2))
+    scale = 0.8 / (spectral_norm(J0) + spectral_norm(J1))
+    q = MatrixPolynomial.from_coeffs([rng.standard_normal((N, 1)) * 0.3 for _ in range(2)])
+    s = SASSystem.create(MatrixPolynomial.from_coeffs([J0 * scale, J1 * scale]), q,
+                         rng.standard_normal(N), eps=0.1)
+    assert _series_terms(s, 1e-12) == (N - 1, 0.0)
+    for T, ext in ((3, "zero"), (40, "repeat_last_oldest"), (300, "zero")):
+        z = BoundedSequence(rng.uniform(-1, 1, size=(T, 1)), bound=1.0, extension=ext)
+        long = sas_terminal_states_batch(s, z.values_newest_first(T + 400)[::-1].T)[0]
+        np.testing.assert_allclose(sas_state(s, z, tol=1e-12), long, rtol=0, atol=1e-12)
+        traj = sas_run_series(s, z, tol=1e-12)
+        assert traj.truncation_tail_bound == 0.0
+        np.testing.assert_allclose(traj.states[-1], long, rtol=0, atol=1e-12)
+
+
+def test_symbolically_nilpotent_p_keeps_the_geometric_length():
+    # p(z) = [[z, 1], [-z^2, -z]] squares to zero as a polynomial, yet
+    # p(a) p(b) = (a - b) [1; -a] [b, 1] is not zero for a != b: the series needs
+    # its certified geometric length, not N - 1 terms
+    p = MatrixPolynomial.from_coeffs([[[0.0, 0.4], [0.0, 0.0]], [[0.4, 0.0], [0.0, -0.4]],
+                                      [[0.0, 0.0], [-0.4, 0.0]]])
+    from affinerc import is_nilpotent
+
+    assert is_nilpotent(p).nilpotent
+    s = SASSystem.create(p, MatrixPolynomial.from_coeffs([[[0.5], [0.2]], [[0.1], [-0.3]]]),
+                         [1.0, -0.5], eps=0.1)
+    J, tail = _series_terms(s, 1e-12)
+    assert J > s.N - 1 and 0.0 < tail < 1e-12
+    rng = np.random.default_rng(34)
+    z = BoundedSequence(rng.uniform(-1, 1, size=(50, 1)), bound=1.0)
+    long = sas_terminal_states_batch(s, z.values_newest_first(J + 400)[::-1].T)[0]
+    short = sas_terminal_states_batch(s, z.values_newest_first(s.N)[::-1].T)[0]
+    np.testing.assert_allclose(sas_state(s, z, tol=1e-12), long, rtol=0, atol=1e-11)
+    assert np.max(np.abs(short - long)) > 1e-3
+
+
 def test_truncation_horizon_for_half_contraction():
     # K1 = 1/2, K2 = 1, tol = 1e-9: the tail 0.5^J first drops below 1e-9 at J = 30
     s = SASSystem.create(
@@ -604,8 +645,12 @@ def test_batch_values_do_not_depend_on_the_batch(kind):
 
 @pytest.mark.parametrize("kind", _BATCH_KINDS)
 def test_empty_batch_gives_empty_values(kind):
-    values = evaluate_batch(_batch_filter(kind), [])
+    f = _batch_filter(kind)
+    values = evaluate_batch(f, [])
     assert values.shape == (0,) and values.dtype == float
+    if hasattr(f, "evaluate_batch"):  # the filter's own method, past the dispatch
+        own = f.evaluate_batch([])
+        assert own.shape == (0,) and own.dtype == float
 
 
 def _per_coefficient_scan(s, Z, X):
